@@ -168,3 +168,256 @@ proptest! {
         prop_assert_eq!(reader.next_frame().expect("now complete"), Some(frame));
     }
 }
+
+/// Asserts `message` encodes to exactly the concatenation of `fields` and
+/// decodes back from those bytes.
+fn assert_golden(message: Message, fields: &[&[u8]]) {
+    let expected: Vec<u8> = fields.concat();
+    assert_eq!(
+        message.encode().as_slice(),
+        expected.as_slice(),
+        "encoding of {message:?}"
+    );
+    assert_eq!(Message::decode(Bytes::from(expected)), Some(message));
+}
+
+/// Pins the peer-protocol wire format byte for byte: one hand-built
+/// instance of every message variant (and every exchange outcome) with its
+/// exact big-endian encoding.  The loopback trajectories, the maintenance
+/// byte counts and the figures reference all depend on these bytes, so a
+/// codec refactor must leave this test passing unedited.
+#[test]
+fn every_message_variant_has_pinned_golden_bytes() {
+    const PEER_7: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 7];
+    const PEER_9: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 9];
+    // Path "0110": u8 length, then the bits left-aligned in a u64.
+    const PATH_0110: &[u8] = &[4, 0x60, 0, 0, 0, 0, 0, 0, 0];
+    // Path "1": one bit set at the top.
+    const PATH_1: &[u8] = &[1, 0x80, 0, 0, 0, 0, 0, 0, 0];
+    const PATH_ROOT: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 0, 0];
+    // Two entries: u32 count, then (key u64, id u64) pairs.
+    const TWO_ENTRIES: &[u8] = &[
+        0, 0, 0, 2, //
+        0, 0, 0, 0, 0, 0, 0x01, 0x02, 0, 0, 0, 0, 0, 0, 0, 0x0a, //
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x0b,
+    ];
+    const NO_ENTRIES: &[u8] = &[0, 0, 0, 0];
+    let two_entries = || {
+        vec![
+            DataEntry::new(Key(0x0102), DataId(10)),
+            DataEntry::new(Key(u64::MAX), DataId(11)),
+        ]
+    };
+    let query = || Message::Query {
+        origin: PeerId(7),
+        id: 0x0102_0304_0506_0708,
+        key: Key(1 << 63),
+        hops: 3,
+    };
+    const QUERY: &[&[u8]] = &[
+        &[5],
+        PEER_7,
+        &[1, 2, 3, 4, 5, 6, 7, 8],
+        &[0x80, 0, 0, 0, 0, 0, 0, 0],
+        &[0, 0, 0, 3],
+    ];
+
+    assert_golden(Message::Join { peer: PeerId(7) }, &[&[0], PEER_7]);
+    assert_golden(
+        Message::JoinAck {
+            neighbours: vec![PeerId(7), PeerId(9)],
+        },
+        &[&[1], &[0, 0, 0, 2], PEER_7, PEER_9],
+    );
+    assert_golden(
+        Message::Replicate {
+            entries: two_entries(),
+        },
+        &[&[2], TWO_ENTRIES],
+    );
+    assert_golden(
+        Message::Exchange {
+            from: PeerId(7),
+            path: Path::parse("0110"),
+            entries: two_entries(),
+        },
+        &[&[3], PEER_7, PATH_0110, TWO_ENTRIES],
+    );
+    assert_golden(
+        Message::ExchangeReply {
+            from: PeerId(9),
+            path: Path::parse("0110"),
+            outcome: ExchangeOutcome::Split {
+                partition: Path::parse("1"),
+                initiator_bit: true,
+                entries: two_entries(),
+                complement: Some((PeerId(7), Path::root())),
+            },
+        },
+        &[
+            &[4],
+            PEER_9,
+            PATH_0110,
+            &[0],
+            PATH_1,
+            &[1],
+            TWO_ENTRIES,
+            &[1],
+            PEER_7,
+            PATH_ROOT,
+        ],
+    );
+    assert_golden(
+        Message::ExchangeReply {
+            from: PeerId(9),
+            path: Path::root(),
+            outcome: ExchangeOutcome::Split {
+                partition: Path::root(),
+                initiator_bit: false,
+                entries: Vec::new(),
+                complement: None,
+            },
+        },
+        &[
+            &[4],
+            PEER_9,
+            PATH_ROOT,
+            &[0],
+            PATH_ROOT,
+            &[0],
+            NO_ENTRIES,
+            &[0],
+        ],
+    );
+    assert_golden(
+        Message::ExchangeReply {
+            from: PeerId(9),
+            path: Path::parse("1"),
+            outcome: ExchangeOutcome::Replicate {
+                entries: two_entries(),
+            },
+        },
+        &[&[4], PEER_9, PATH_1, &[1], TWO_ENTRIES],
+    );
+    assert_golden(
+        Message::ExchangeReply {
+            from: PeerId(9),
+            path: Path::parse("1"),
+            outcome: ExchangeOutcome::Refer {
+                peer: PeerId(7),
+                path: Path::parse("0110"),
+            },
+        },
+        &[&[4], PEER_9, PATH_1, &[2], PEER_7, PATH_0110],
+    );
+    assert_golden(
+        Message::ExchangeReply {
+            from: PeerId(9),
+            path: Path::parse("1"),
+            outcome: ExchangeOutcome::Nothing,
+        },
+        &[&[4], PEER_9, PATH_1, &[3]],
+    );
+    assert_golden(query(), QUERY);
+    assert_golden(
+        Message::QueryResponse {
+            id: 0x0102_0304_0506_0708,
+            entries: two_entries(),
+            hops: 4,
+            found: true,
+        },
+        &[
+            &[6],
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+            TWO_ENTRIES,
+            &[0, 0, 0, 4],
+            &[1],
+        ],
+    );
+    assert_golden(
+        Message::ForIndex {
+            index: 0x0203,
+            inner: Box::new(query()),
+        },
+        &[&[&[7u8, 2, 3][..]], QUERY].concat(),
+    );
+    assert_golden(
+        Message::RangeQuery {
+            origin: PeerId(9),
+            id: 5,
+            lo: Key(1),
+            hi: Key(u64::MAX),
+            cursor: Key(0x100),
+            hops: 2,
+        },
+        &[
+            &[8],
+            PEER_9,
+            &[0, 0, 0, 0, 0, 0, 0, 5],
+            &[0, 0, 0, 0, 0, 0, 0, 1],
+            &[0xff; 8],
+            &[0, 0, 0, 0, 0, 0, 1, 0],
+            &[0, 0, 0, 2],
+        ],
+    );
+    assert_golden(
+        Message::RangeResponse {
+            id: 5,
+            from: Key(0x100),
+            upto: Key(0x1ff),
+            entries: two_entries(),
+            hops: 6,
+        },
+        &[
+            &[9],
+            &[0, 0, 0, 0, 0, 0, 0, 5],
+            &[0, 0, 0, 0, 0, 0, 1, 0],
+            &[0, 0, 0, 0, 0, 0, 1, 0xff],
+            TWO_ENTRIES,
+            &[0, 0, 0, 6],
+        ],
+    );
+    assert_golden(
+        Message::Traced {
+            trace_id: 0x0a0b,
+            inner: Box::new(query()),
+        },
+        &[&[&[10u8, 0, 0, 0, 0, 0, 0, 0x0a, 0x0b][..]], QUERY].concat(),
+    );
+    assert_golden(
+        Message::Traced {
+            trace_id: 1,
+            inner: Box::new(Message::ForIndex {
+                index: 2,
+                inner: Box::new(query()),
+            }),
+        },
+        &[&[&[10u8, 0, 0, 0, 0, 0, 0, 0, 1][..], &[7, 0, 2]], QUERY].concat(),
+    );
+    assert_golden(Message::ReplicaPull { origin: PeerId(9) }, &[&[11], PEER_9]);
+    assert_golden(
+        Message::ReplicaPush {
+            path: Path::parse("0110"),
+            entries: two_entries(),
+            routing: vec![
+                (0, PeerId(7), Path::parse("1")),
+                (3, PeerId(9), Path::root()),
+            ],
+            replicas: vec![PeerId(9)],
+        },
+        &[
+            &[12],
+            PATH_0110,
+            TWO_ENTRIES,
+            &[0, 0, 0, 2],
+            &[0],
+            PEER_7,
+            PATH_1,
+            &[3],
+            PEER_9,
+            PATH_ROOT,
+            &[0, 0, 0, 1],
+            PEER_9,
+        ],
+    );
+}
