@@ -19,15 +19,15 @@
 //!   | ---- Minutes*, Report ---------> |   final shard report
 //! ```
 //!
-//! Like the peer protocol, the codec is a hand-rolled big-endian binary
-//! format over [`bytes`]: no registry dependencies, self-describing enough
-//! for round-trip tests, and versioned by a leading magic/version pair so a
-//! stale worker fails loudly instead of mis-parsing.
+//! Like the peer protocol, the codec is built on [`pgrid_core::wire`]:
+//! self-describing enough for round-trip tests, and versioned by a leading
+//! magic/version pair so a stale worker fails loudly instead of
+//! mis-parsing.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use pgrid_core::histogram::LogHistogram;
+use bytes::Bytes;
 use pgrid_core::index::IndexId;
 use pgrid_core::path::Path;
+use pgrid_core::wire::{Reader, WireError, WireResult, Writer, HISTOGRAM_MIN_BYTES, PATH_BYTES};
 use pgrid_net::experiment::Timeline;
 use pgrid_net::runtime::{MinuteLatency, NetConfig, QueryAggregates};
 use pgrid_transport::frame::{decode_frame, encode_frame, FrameReader};
@@ -47,7 +47,12 @@ const MAGIC: u16 = 0x5047; // "PG"
 /// v6 adds the warm-restart handshake (`Rejoin` / `Resume`: a relaunched
 /// worker offers its durability-log shard back instead of waiting for a
 /// `Welcome`) and the replica-pull retry pacing fields of the run config.
-const VERSION: u8 = 7;
+///
+/// v7 adds the optional reactor block to the `Report` transport counters.
+///
+/// v8 drops the frame-compression counters from `Report` and carries the
+/// metrics registry snapshot in the big-endian [`pgrid_core::wire`] form.
+const VERSION: u8 = 8;
 
 /// Phases of the Section-5 timeline the cluster barriers on, in order.
 pub const PHASE_WIRED: u8 = 0;
@@ -280,9 +285,9 @@ pub enum ClusterMsg {
 impl ClusterMsg {
     /// Encodes the message (including the magic/version header).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u16(MAGIC);
-        buf.put_u8(VERSION);
+        let mut w = Writer::with_capacity(64);
+        w.u16(MAGIC);
+        w.u8(VERSION);
         match self {
             ClusterMsg::Welcome {
                 worker_index,
@@ -297,23 +302,23 @@ impl ClusterMsg {
                 heal,
                 kill_at_min,
             } => {
-                buf.put_u8(0);
-                buf.put_u32(*worker_index);
-                buf.put_u32(*n_workers);
-                buf.put_u64(*shard_start);
-                buf.put_u64(*shard_len);
-                put_config(&mut buf, config);
-                put_timeline(&mut buf, timeline);
-                buf.put_u8(*tracing as u8);
-                buf.put_u64(*heartbeat_ms);
-                buf.put_u64(*failure_timeout_ms);
-                buf.put_u8(*heal as u8);
+                w.u8(0);
+                w.u32(*worker_index);
+                w.u32(*n_workers);
+                w.u64(*shard_start);
+                w.u64(*shard_len);
+                put_config(&mut w, config);
+                put_timeline(&mut w, timeline);
+                w.bool(*tracing);
+                w.u64(*heartbeat_ms);
+                w.u64(*failure_timeout_ms);
+                w.bool(*heal);
                 match kill_at_min {
                     Some(at) => {
-                        buf.put_u8(1);
-                        buf.put_u64(*at);
+                        w.u8(1);
+                        w.u64(*at);
                     }
-                    None => buf.put_u8(0),
+                    None => w.u8(0),
                 }
             }
             ClusterMsg::Hello {
@@ -321,119 +326,115 @@ impl ClusterMsg {
                 peer_addrs,
                 metrics_addr,
             } => {
-                buf.put_u8(1);
-                buf.put_u64(*shard_start);
-                put_addrs(&mut buf, peer_addrs);
+                w.u8(1);
+                w.u64(*shard_start);
+                put_addrs(&mut w, peer_addrs);
                 match metrics_addr {
                     Some(addr) => {
-                        buf.put_u8(1);
-                        put_addr(&mut buf, addr);
+                        w.u8(1);
+                        put_addr(&mut w, addr);
                     }
-                    None => buf.put_u8(0),
+                    None => w.u8(0),
                 }
             }
             ClusterMsg::AddressBook { peer_addrs } => {
-                buf.put_u8(2);
-                put_addrs(&mut buf, peer_addrs);
+                w.u8(2);
+                put_addrs(&mut w, peer_addrs);
             }
             ClusterMsg::PhaseDone { phase } => {
-                buf.put_u8(3);
-                buf.put_u8(*phase);
+                w.u8(3);
+                w.u8(*phase);
             }
             ClusterMsg::Proceed { phase } => {
-                buf.put_u8(4);
-                buf.put_u8(*phase);
+                w.u8(4);
+                w.u8(*phase);
             }
             ClusterMsg::Minutes { samples } => {
-                buf.put_u8(5);
-                buf.put_u32(samples.len() as u32);
+                w.u8(5);
+                w.count(samples.len());
                 for (minute, maintenance, query) in samples {
-                    buf.put_u64(*minute);
-                    buf.put_u64(*maintenance);
-                    buf.put_u64(*query);
+                    w.u64(*minute);
+                    w.u64(*maintenance);
+                    w.u64(*query);
                 }
             }
             ClusterMsg::TraceBatch { events } => {
-                buf.put_u8(7);
-                buf.put_u32(events.len() as u32);
+                w.u8(7);
+                w.count(events.len());
                 for event in events {
-                    buf.put_u64(event.trace_id);
-                    put_str(&mut buf, event.kind);
-                    buf.put_u64(event.peer);
-                    buf.put_u64(event.virtual_ms);
-                    buf.put_u64(event.wall_micros);
-                    put_str(&mut buf, &event.detail);
+                    w.u64(event.trace_id);
+                    w.str(event.kind);
+                    w.u64(event.peer);
+                    w.u64(event.virtual_ms);
+                    w.u64(event.wall_micros);
+                    w.str(&event.detail);
                 }
             }
             ClusterMsg::MetricsSnapshot { registry } => {
-                buf.put_u8(8);
-                buf.put_u32(registry.len() as u32);
-                buf.put_slice(registry);
+                w.u8(8);
+                w.blob(registry);
             }
             ClusterMsg::Report(report) => {
-                buf.put_u8(6);
-                buf.put_u64(report.shard_start);
-                buf.put_u32(report.paths.len() as u32);
+                w.u8(6);
+                w.u64(report.shard_start);
+                w.count(report.paths.len());
                 for path in &report.paths {
-                    put_path(&mut buf, path);
+                    w.path(path);
                 }
-                buf.put_u32(report.query_stats.len() as u32);
+                w.count(report.query_stats.len());
                 for (index, stats) in &report.query_stats {
-                    buf.put_u16(index.0);
-                    put_aggregates(&mut buf, stats);
+                    w.u16(index.0);
+                    put_aggregates(&mut w, stats);
                 }
-                buf.put_u64(report.online_at_end);
-                buf.put_u64(report.transport.frames_sent);
-                buf.put_u64(report.transport.frames_delivered);
-                buf.put_u64(report.transport.bytes_sent);
-                buf.put_u64(report.transport.bytes_delivered);
-                buf.put_u32(report.transport.per_peer.len() as u32);
+                w.u64(report.online_at_end);
+                w.u64(report.transport.frames_sent);
+                w.u64(report.transport.frames_delivered);
+                w.u64(report.transport.bytes_sent);
+                w.u64(report.transport.bytes_delivered);
+                w.count(report.transport.per_peer.len());
                 for (&peer, link) in &report.transport.per_peer {
-                    buf.put_u64(peer);
-                    buf.put_u64(link.frames_sent);
-                    buf.put_u64(link.bytes_sent);
-                    buf.put_u64(link.frames_received);
-                    buf.put_u64(link.bytes_received);
-                    buf.put_u64(link.reconnects);
-                    buf.put_u64(link.send_failures);
+                    w.u64(peer);
+                    w.u64(link.frames_sent);
+                    w.u64(link.bytes_sent);
+                    w.u64(link.frames_received);
+                    w.u64(link.bytes_received);
+                    w.u64(link.reconnects);
+                    w.u64(link.send_failures);
                 }
-                // v7: frame-compression counters and the optional reactor
-                // block (flag byte, then the eight reactor fields).
-                buf.put_u64(report.transport.frames_compressed);
-                buf.put_u64(report.transport.compressed_bytes_raw);
-                buf.put_u64(report.transport.compressed_bytes_wire);
+                // The optional reactor block: flag byte, then the eight
+                // reactor fields.
                 match &report.transport.reactor {
                     Some(reactor) => {
-                        buf.put_u8(1);
-                        buf.put_u64(reactor.registered_peers);
-                        buf.put_u64(reactor.registered_fds);
-                        buf.put_u64(reactor.epoll_wakeups);
-                        buf.put_u64(reactor.write_queue_frames);
-                        buf.put_u64(reactor.write_queue_bytes);
-                        buf.put_u64(reactor.partial_writes);
-                        buf.put_u64(reactor.reconnects);
-                        buf.put_u64(reactor.dropped_frames);
+                        w.u8(1);
+                        w.u64(reactor.registered_peers);
+                        w.u64(reactor.registered_fds);
+                        w.u64(reactor.epoll_wakeups);
+                        w.u64(reactor.write_queue_frames);
+                        w.u64(reactor.write_queue_bytes);
+                        w.u64(reactor.partial_writes);
+                        w.u64(reactor.reconnects);
+                        w.u64(reactor.dropped_frames);
                     }
-                    None => buf.put_u8(0),
+                    None => w.u8(0),
                 }
-                buf.put_u64(report.messages_delivered);
-                buf.put_u64(report.messages_lost);
-                buf.put_u32(report.extra_paths.len() as u32);
+                w.u64(report.messages_delivered);
+                w.u64(report.messages_lost);
+                w.count(report.extra_paths.len());
                 for (peer, path) in &report.extra_paths {
-                    buf.put_u64(*peer);
-                    put_path(&mut buf, path);
+                    w.u64(*peer);
+                    w.path(path);
                 }
             }
             ClusterMsg::Heartbeat { epoch } => {
-                buf.put_u8(9);
-                buf.put_u64(*epoch);
+                w.u8(9);
+                w.u64(*epoch);
             }
             ClusterMsg::ShardPaths { shard_start, paths } => {
-                buf.put_u8(10);
-                buf.put_u64(*shard_start);
-                buf.put_u32(paths.len() as u32);
+                w.u8(10);
+                w.u64(*shard_start);
+                w.count(paths.len());
                 for path in paths {
-                    put_path(&mut buf, path);
+                    w.path(path);
                 }
             }
             ClusterMsg::WorkerFailed {
@@ -442,35 +443,35 @@ impl ClusterMsg {
                 shard_start,
                 shard_len,
             } => {
-                buf.put_u8(11);
-                buf.put_u64(*epoch);
-                buf.put_u32(*worker_index);
-                buf.put_u64(*shard_start);
-                buf.put_u64(*shard_len);
+                w.u8(11);
+                w.u64(*epoch);
+                w.u32(*worker_index);
+                w.u64(*shard_start);
+                w.u64(*shard_len);
             }
             ClusterMsg::ShardReassign { epoch, moves } => {
-                buf.put_u8(12);
-                buf.put_u64(*epoch);
-                buf.put_u32(moves.len() as u32);
+                w.u8(12);
+                w.u64(*epoch);
+                w.count(moves.len());
                 for m in moves {
-                    buf.put_u64(m.peer);
-                    buf.put_u32(m.to_worker);
-                    buf.put_u64(m.source_peer);
-                    put_path(&mut buf, &m.path);
+                    w.u64(m.peer);
+                    w.u32(m.to_worker);
+                    w.u64(m.source_peer);
+                    w.path(&m.path);
                 }
             }
             ClusterMsg::RecoveryAddrs { epoch, peer_addrs } => {
-                buf.put_u8(13);
-                buf.put_u64(*epoch);
-                put_addrs(&mut buf, peer_addrs);
+                w.u8(13);
+                w.u64(*epoch);
+                put_addrs(&mut w, peer_addrs);
             }
             ClusterMsg::RecoveryDone { epoch, recovered } => {
-                buf.put_u8(14);
-                buf.put_u64(*epoch);
-                buf.put_u32(recovered.len() as u32);
+                w.u8(14);
+                w.u64(*epoch);
+                w.count(recovered.len());
                 for (peer, via_replica) in recovered {
-                    buf.put_u64(*peer);
-                    buf.put_u8(*via_replica as u8);
+                    w.u64(*peer);
+                    w.bool(*via_replica);
                 }
             }
             ClusterMsg::Rejoin {
@@ -481,589 +482,428 @@ impl ClusterMsg {
                 now_ms,
                 seed,
             } => {
-                buf.put_u8(15);
-                buf.put_u64(*shard_start);
-                buf.put_u64(*shard_len);
-                buf.put_u64(*epoch);
-                buf.put_u8(*phase);
-                buf.put_u64(*now_ms);
-                buf.put_u64(*seed);
+                w.u8(15);
+                w.u64(*shard_start);
+                w.u64(*shard_len);
+                w.u64(*epoch);
+                w.u8(*phase);
+                w.u64(*now_ms);
+                w.u64(*seed);
             }
             ClusterMsg::Resume { epoch, phase } => {
-                buf.put_u8(16);
-                buf.put_u64(*epoch);
-                buf.put_u8(*phase);
+                w.u8(16);
+                w.u64(*epoch);
+                w.u8(*phase);
             }
         }
-        buf.freeze()
+        Bytes::from(w.into_vec())
     }
 
     /// Decodes a message previously produced by [`ClusterMsg::encode`];
     /// `None` for malformed input or a version mismatch.
-    pub fn decode(mut data: Bytes) -> Option<ClusterMsg> {
-        if get_u16(&mut data)? != MAGIC || get_u8(&mut data)? != VERSION {
-            return None;
-        }
-        Some(match get_u8(&mut data)? {
-            0 => ClusterMsg::Welcome {
-                worker_index: get_u32(&mut data)?,
-                n_workers: get_u32(&mut data)?,
-                shard_start: get_u64(&mut data)?,
-                shard_len: get_u64(&mut data)?,
-                config: get_config(&mut data)?,
-                timeline: get_timeline(&mut data)?,
-                tracing: get_u8(&mut data)? != 0,
-                heartbeat_ms: get_u64(&mut data)?,
-                failure_timeout_ms: get_u64(&mut data)?,
-                heal: get_u8(&mut data)? != 0,
-                kill_at_min: match get_u8(&mut data)? {
-                    0 => None,
-                    1 => Some(get_u64(&mut data)?),
-                    _ => return None,
-                },
-            },
-            1 => ClusterMsg::Hello {
-                shard_start: get_u64(&mut data)?,
-                peer_addrs: get_addrs(&mut data)?,
-                metrics_addr: match get_u8(&mut data)? {
-                    0 => None,
-                    1 => Some(get_addr(&mut data)?),
-                    _ => return None,
-                },
-            },
-            2 => ClusterMsg::AddressBook {
-                peer_addrs: get_addrs(&mut data)?,
-            },
-            3 => ClusterMsg::PhaseDone {
-                phase: get_u8(&mut data)?,
-            },
-            4 => ClusterMsg::Proceed {
-                phase: get_u8(&mut data)?,
-            },
-            5 => {
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 20 {
-                    return None;
-                }
-                let mut samples = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    samples.push((
-                        get_u64(&mut data)?,
-                        get_u64(&mut data)?,
-                        get_u64(&mut data)?,
-                    ));
-                }
-                ClusterMsg::Minutes { samples }
-            }
-            7 => {
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 20 {
-                    return None;
-                }
-                let mut events = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let trace_id = get_u64(&mut data)?;
-                    let kind = pgrid_obs::trace::intern_kind(&get_string(&mut data)?);
-                    events.push(pgrid_obs::trace::TraceEvent {
-                        trace_id,
-                        kind,
-                        peer: get_u64(&mut data)?,
-                        virtual_ms: get_u64(&mut data)?,
-                        wall_micros: get_u64(&mut data)?,
-                        detail: get_string(&mut data)?,
-                    });
-                }
-                ClusterMsg::TraceBatch { events }
-            }
-            8 => {
-                let len = get_u32(&mut data)? as usize;
-                if len > 1 << 26 || data.remaining() < len {
-                    return None;
-                }
-                let registry = data.split_to(len).as_slice().to_vec();
-                ClusterMsg::MetricsSnapshot { registry }
-            }
-            6 => {
-                let shard_start = get_u64(&mut data)?;
-                let n_paths = get_u32(&mut data)? as usize;
-                if n_paths > 1 << 24 {
-                    return None;
-                }
-                let mut paths = Vec::with_capacity(n_paths.min(65536));
-                for _ in 0..n_paths {
-                    paths.push(get_path(&mut data)?);
-                }
-                let n_indexes = get_u32(&mut data)? as usize;
-                if n_indexes > 1 << 16 {
-                    return None;
-                }
-                let mut query_stats = Vec::with_capacity(n_indexes.min(1024));
-                for _ in 0..n_indexes {
-                    let index = IndexId(get_u16(&mut data)?);
-                    query_stats.push((index, get_aggregates(&mut data)?));
-                }
-                let online_at_end = get_u64(&mut data)?;
-                let mut transport = TransportStats {
-                    frames_sent: get_u64(&mut data)?,
-                    frames_delivered: get_u64(&mut data)?,
-                    bytes_sent: get_u64(&mut data)?,
-                    bytes_delivered: get_u64(&mut data)?,
-                    ..TransportStats::default()
-                };
-                let n_links = get_u32(&mut data)? as usize;
-                if n_links > 1 << 24 {
-                    return None;
-                }
-                for _ in 0..n_links {
-                    let peer = get_u64(&mut data)?;
-                    let link = LinkStats {
-                        frames_sent: get_u64(&mut data)?,
-                        bytes_sent: get_u64(&mut data)?,
-                        frames_received: get_u64(&mut data)?,
-                        bytes_received: get_u64(&mut data)?,
-                        reconnects: get_u64(&mut data)?,
-                        send_failures: get_u64(&mut data)?,
-                    };
-                    transport.per_peer.insert(peer, link);
-                }
-                transport.frames_compressed = get_u64(&mut data)?;
-                transport.compressed_bytes_raw = get_u64(&mut data)?;
-                transport.compressed_bytes_wire = get_u64(&mut data)?;
-                if get_u8(&mut data)? != 0 {
-                    transport.reactor = Some(ReactorStats {
-                        registered_peers: get_u64(&mut data)?,
-                        registered_fds: get_u64(&mut data)?,
-                        epoll_wakeups: get_u64(&mut data)?,
-                        write_queue_frames: get_u64(&mut data)?,
-                        write_queue_bytes: get_u64(&mut data)?,
-                        partial_writes: get_u64(&mut data)?,
-                        reconnects: get_u64(&mut data)?,
-                        dropped_frames: get_u64(&mut data)?,
-                    });
-                }
-                let messages_delivered = get_u64(&mut data)?;
-                let messages_lost = get_u64(&mut data)?;
-                let n_extra = get_u32(&mut data)? as usize;
-                if n_extra > 1 << 24 {
-                    return None;
-                }
-                let mut extra_paths = Vec::with_capacity(n_extra.min(65536));
-                for _ in 0..n_extra {
-                    let peer = get_u64(&mut data)?;
-                    extra_paths.push((peer, get_path(&mut data)?));
-                }
-                ClusterMsg::Report(ShardReport {
-                    shard_start,
-                    paths,
-                    query_stats,
-                    online_at_end,
-                    transport,
-                    messages_delivered,
-                    messages_lost,
-                    extra_paths,
-                })
-            }
-            9 => ClusterMsg::Heartbeat {
-                epoch: get_u64(&mut data)?,
-            },
-            10 => {
-                let shard_start = get_u64(&mut data)?;
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 24 {
-                    return None;
-                }
-                let mut paths = Vec::with_capacity(n.min(65536));
-                for _ in 0..n {
-                    paths.push(get_path(&mut data)?);
-                }
-                ClusterMsg::ShardPaths { shard_start, paths }
-            }
-            11 => ClusterMsg::WorkerFailed {
-                epoch: get_u64(&mut data)?,
-                worker_index: get_u32(&mut data)?,
-                shard_start: get_u64(&mut data)?,
-                shard_len: get_u64(&mut data)?,
-            },
-            12 => {
-                let epoch = get_u64(&mut data)?;
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 24 {
-                    return None;
-                }
-                let mut moves = Vec::with_capacity(n.min(65536));
-                for _ in 0..n {
-                    moves.push(ReassignMove {
-                        peer: get_u64(&mut data)?,
-                        to_worker: get_u32(&mut data)?,
-                        source_peer: get_u64(&mut data)?,
-                        path: get_path(&mut data)?,
-                    });
-                }
-                ClusterMsg::ShardReassign { epoch, moves }
-            }
-            13 => ClusterMsg::RecoveryAddrs {
-                epoch: get_u64(&mut data)?,
-                peer_addrs: get_addrs(&mut data)?,
-            },
-            14 => {
-                let epoch = get_u64(&mut data)?;
-                let n = get_u32(&mut data)? as usize;
-                if n > 1 << 24 {
-                    return None;
-                }
-                let mut recovered = Vec::with_capacity(n.min(65536));
-                for _ in 0..n {
-                    let peer = get_u64(&mut data)?;
-                    recovered.push((peer, get_u8(&mut data)? != 0));
-                }
-                ClusterMsg::RecoveryDone { epoch, recovered }
-            }
-            15 => ClusterMsg::Rejoin {
-                shard_start: get_u64(&mut data)?,
-                shard_len: get_u64(&mut data)?,
-                epoch: get_u64(&mut data)?,
-                phase: get_u8(&mut data)?,
-                now_ms: get_u64(&mut data)?,
-                seed: get_u64(&mut data)?,
-            },
-            16 => ClusterMsg::Resume {
-                epoch: get_u64(&mut data)?,
-                phase: get_u8(&mut data)?,
-            },
-            _ => return None,
-        })
+    pub fn decode(data: Bytes) -> Option<ClusterMsg> {
+        decode_msg(&mut Reader::new(data.as_slice())).ok()
     }
 }
 
 // ----- field codecs ----------------------------------------------------------
 
-fn put_config(buf: &mut BytesMut, config: &NetConfig) {
-    buf.put_u64(config.n_peers as u64);
-    buf.put_u64(config.keys_per_peer as u64);
-    buf.put_u64(config.n_min as u64);
+/// Cap on the items of one counted list (paths, links, moves, addresses).
+const MAX_ITEMS: usize = 1 << 24;
+
+/// Cap on minute samples and trace events per message.
+const MAX_BATCH: usize = 1 << 20;
+
+/// Cap on one trace string.
+const MAX_STRING: usize = 1 << 16;
+
+/// Cap on one wire-encoded metrics registry snapshot.
+const MAX_REGISTRY_BYTES: usize = 1 << 26;
+
+/// Smallest encoding of one socket address (IPv4).
+const ADDR_MIN_BYTES: usize = 1 + 4 + 2;
+
+/// Smallest encoding of one [`QueryAggregates`] (empty histograms and no
+/// per-minute buckets).
+const AGGREGATES_MIN_BYTES: usize = 8 * 8 + 2 * HISTOGRAM_MIN_BYTES + 4;
+
+fn decode_msg(r: &mut Reader<'_>) -> WireResult<ClusterMsg> {
+    if r.u16()? != MAGIC || r.u8()? != VERSION {
+        return Err(WireError::Invalid("magic or version mismatch".into()));
+    }
+    Ok(match r.u8()? {
+        0 => ClusterMsg::Welcome {
+            worker_index: r.u32()?,
+            n_workers: r.u32()?,
+            shard_start: r.u64()?,
+            shard_len: r.u64()?,
+            config: get_config(r)?,
+            timeline: get_timeline(r)?,
+            tracing: r.bool()?,
+            heartbeat_ms: r.u64()?,
+            failure_timeout_ms: r.u64()?,
+            heal: r.bool()?,
+            kill_at_min: match r.u8()? {
+                0 => None,
+                1 => Some(r.u64()?),
+                flag => return Err(WireError::Invalid(format!("option flag {flag}"))),
+            },
+        },
+        1 => ClusterMsg::Hello {
+            shard_start: r.u64()?,
+            peer_addrs: get_addrs(r)?,
+            metrics_addr: match r.u8()? {
+                0 => None,
+                1 => Some(get_addr(r)?),
+                flag => return Err(WireError::Invalid(format!("option flag {flag}"))),
+            },
+        },
+        2 => ClusterMsg::AddressBook {
+            peer_addrs: get_addrs(r)?,
+        },
+        3 => ClusterMsg::PhaseDone { phase: r.u8()? },
+        4 => ClusterMsg::Proceed { phase: r.u8()? },
+        5 => {
+            let n = r.count(MAX_BATCH, 3 * 8)?;
+            let mut samples = Vec::with_capacity(n);
+            for _ in 0..n {
+                samples.push((r.u64()?, r.u64()?, r.u64()?));
+            }
+            ClusterMsg::Minutes { samples }
+        }
+        7 => {
+            let n = r.count(MAX_BATCH, 4 * 8 + 2 * 4)?;
+            let mut events = Vec::with_capacity(n);
+            for _ in 0..n {
+                let trace_id = r.u64()?;
+                let kind = pgrid_obs::trace::intern_kind(&r.string(MAX_STRING)?);
+                events.push(pgrid_obs::trace::TraceEvent {
+                    trace_id,
+                    kind,
+                    peer: r.u64()?,
+                    virtual_ms: r.u64()?,
+                    wall_micros: r.u64()?,
+                    detail: r.string(MAX_STRING)?,
+                });
+            }
+            ClusterMsg::TraceBatch { events }
+        }
+        8 => ClusterMsg::MetricsSnapshot {
+            registry: r.blob(MAX_REGISTRY_BYTES)?.to_vec(),
+        },
+        6 => {
+            let shard_start = r.u64()?;
+            let paths = decode_paths(r)?;
+            let n_indexes = r.count(1 << 16, 2 + AGGREGATES_MIN_BYTES)?;
+            let mut query_stats = Vec::with_capacity(n_indexes);
+            for _ in 0..n_indexes {
+                let index = IndexId(r.u16()?);
+                query_stats.push((index, get_aggregates(r)?));
+            }
+            let online_at_end = r.u64()?;
+            let mut transport = TransportStats {
+                frames_sent: r.u64()?,
+                frames_delivered: r.u64()?,
+                bytes_sent: r.u64()?,
+                bytes_delivered: r.u64()?,
+                ..TransportStats::default()
+            };
+            let n_links = r.count(MAX_ITEMS, 7 * 8)?;
+            for _ in 0..n_links {
+                let peer = r.u64()?;
+                let link = LinkStats {
+                    frames_sent: r.u64()?,
+                    bytes_sent: r.u64()?,
+                    frames_received: r.u64()?,
+                    bytes_received: r.u64()?,
+                    reconnects: r.u64()?,
+                    send_failures: r.u64()?,
+                };
+                transport.per_peer.insert(peer, link);
+            }
+            if r.bool()? {
+                transport.reactor = Some(ReactorStats {
+                    registered_peers: r.u64()?,
+                    registered_fds: r.u64()?,
+                    epoll_wakeups: r.u64()?,
+                    write_queue_frames: r.u64()?,
+                    write_queue_bytes: r.u64()?,
+                    partial_writes: r.u64()?,
+                    reconnects: r.u64()?,
+                    dropped_frames: r.u64()?,
+                });
+            }
+            let messages_delivered = r.u64()?;
+            let messages_lost = r.u64()?;
+            let n_extra = r.count(MAX_ITEMS, 8 + PATH_BYTES)?;
+            let mut extra_paths = Vec::with_capacity(n_extra);
+            for _ in 0..n_extra {
+                extra_paths.push((r.u64()?, r.path()?));
+            }
+            ClusterMsg::Report(ShardReport {
+                shard_start,
+                paths,
+                query_stats,
+                online_at_end,
+                transport,
+                messages_delivered,
+                messages_lost,
+                extra_paths,
+            })
+        }
+        9 => ClusterMsg::Heartbeat { epoch: r.u64()? },
+        10 => ClusterMsg::ShardPaths {
+            shard_start: r.u64()?,
+            paths: decode_paths(r)?,
+        },
+        11 => ClusterMsg::WorkerFailed {
+            epoch: r.u64()?,
+            worker_index: r.u32()?,
+            shard_start: r.u64()?,
+            shard_len: r.u64()?,
+        },
+        12 => {
+            let epoch = r.u64()?;
+            let n = r.count(MAX_ITEMS, 8 + 4 + 8 + PATH_BYTES)?;
+            let mut moves = Vec::with_capacity(n);
+            for _ in 0..n {
+                moves.push(ReassignMove {
+                    peer: r.u64()?,
+                    to_worker: r.u32()?,
+                    source_peer: r.u64()?,
+                    path: r.path()?,
+                });
+            }
+            ClusterMsg::ShardReassign { epoch, moves }
+        }
+        13 => ClusterMsg::RecoveryAddrs {
+            epoch: r.u64()?,
+            peer_addrs: get_addrs(r)?,
+        },
+        14 => {
+            let epoch = r.u64()?;
+            let n = r.count(MAX_ITEMS, 8 + 1)?;
+            let mut recovered = Vec::with_capacity(n);
+            for _ in 0..n {
+                recovered.push((r.u64()?, r.bool()?));
+            }
+            ClusterMsg::RecoveryDone { epoch, recovered }
+        }
+        15 => ClusterMsg::Rejoin {
+            shard_start: r.u64()?,
+            shard_len: r.u64()?,
+            epoch: r.u64()?,
+            phase: r.u8()?,
+            now_ms: r.u64()?,
+            seed: r.u64()?,
+        },
+        16 => ClusterMsg::Resume {
+            epoch: r.u64()?,
+            phase: r.u8()?,
+        },
+        tag => return Err(WireError::Invalid(format!("control message tag {tag}"))),
+    })
+}
+
+fn decode_paths(r: &mut Reader<'_>) -> WireResult<Vec<Path>> {
+    let n = r.count(MAX_ITEMS, PATH_BYTES)?;
+    let mut paths = Vec::with_capacity(n);
+    for _ in 0..n {
+        paths.push(r.path()?);
+    }
+    Ok(paths)
+}
+
+fn put_config(w: &mut Writer, config: &NetConfig) {
+    w.u64(config.n_peers as u64);
+    w.u64(config.keys_per_peer as u64);
+    w.u64(config.n_min as u64);
     match config.delta_max {
         Some(d) => {
-            buf.put_u8(1);
-            buf.put_u64(d as u64);
+            w.u8(1);
+            w.u64(d as u64);
         }
-        None => buf.put_u8(0),
+        None => w.u8(0),
     }
-    buf.put_u64(config.latency_min_ms);
-    buf.put_u64(config.latency_max_ms);
-    buf.put_f64(config.loss_probability);
-    buf.put_u64(config.construct_interval_ms);
-    buf.put_u64(config.query_timeout_ms);
-    buf.put_u64(config.routing_fanout as u64);
-    buf.put_u64(config.seed);
+    w.u64(config.latency_min_ms);
+    w.u64(config.latency_max_ms);
+    w.f64(config.loss_probability);
+    w.u64(config.construct_interval_ms);
+    w.u64(config.query_timeout_ms);
+    w.u64(config.routing_fanout as u64);
+    w.u64(config.seed);
     match config.distribution {
-        Distribution::Uniform => buf.put_u8(0),
+        Distribution::Uniform => w.u8(0),
         Distribution::Pareto { shape } => {
-            buf.put_u8(1);
-            buf.put_f64(shape);
+            w.u8(1);
+            w.f64(shape);
         }
         Distribution::Normal { mean, std_dev } => {
-            buf.put_u8(2);
-            buf.put_f64(mean);
-            buf.put_f64(std_dev);
+            w.u8(2);
+            w.f64(mean);
+            w.f64(std_dev);
         }
         Distribution::Text {
             vocabulary,
             exponent,
         } => {
-            buf.put_u8(3);
-            buf.put_u64(vocabulary as u64);
-            buf.put_f64(exponent);
+            w.u8(3);
+            w.u64(vocabulary as u64);
+            w.f64(exponent);
         }
     }
-    buf.put_u8(config.batch_per_tick as u8);
-    buf.put_u8(config.route_cache as u8);
-    buf.put_u64(config.query_sample_cap as u64);
-    buf.put_u64(config.recovery_retry_ms);
-    buf.put_u64(config.recovery_retry_max_ms);
+    w.bool(config.batch_per_tick);
+    w.bool(config.route_cache);
+    w.u64(config.query_sample_cap as u64);
+    w.u64(config.recovery_retry_ms);
+    w.u64(config.recovery_retry_max_ms);
 }
 
-fn get_config(data: &mut Bytes) -> Option<NetConfig> {
-    let n_peers = get_u64(data)? as usize;
-    let keys_per_peer = get_u64(data)? as usize;
-    let n_min = get_u64(data)? as usize;
-    let delta_max = if get_u8(data)? != 0 {
-        Some(get_u64(data)? as usize)
-    } else {
-        None
-    };
-    let latency_min_ms = get_u64(data)?;
-    let latency_max_ms = get_u64(data)?;
-    let loss_probability = get_f64(data)?;
-    let construct_interval_ms = get_u64(data)?;
-    let query_timeout_ms = get_u64(data)?;
-    let routing_fanout = get_u64(data)? as usize;
-    let seed = get_u64(data)?;
-    let distribution = match get_u8(data)? {
-        0 => Distribution::Uniform,
-        1 => Distribution::Pareto {
-            shape: get_f64(data)?,
+fn get_config(r: &mut Reader<'_>) -> WireResult<NetConfig> {
+    Ok(NetConfig {
+        n_peers: r.u64()? as usize,
+        keys_per_peer: r.u64()? as usize,
+        n_min: r.u64()? as usize,
+        delta_max: if r.bool()? {
+            Some(r.u64()? as usize)
+        } else {
+            None
         },
-        2 => Distribution::Normal {
-            mean: get_f64(data)?,
-            std_dev: get_f64(data)?,
+        latency_min_ms: r.u64()?,
+        latency_max_ms: r.u64()?,
+        loss_probability: r.f64()?,
+        construct_interval_ms: r.u64()?,
+        query_timeout_ms: r.u64()?,
+        routing_fanout: r.u64()? as usize,
+        seed: r.u64()?,
+        distribution: match r.u8()? {
+            0 => Distribution::Uniform,
+            1 => Distribution::Pareto { shape: r.f64()? },
+            2 => Distribution::Normal {
+                mean: r.f64()?,
+                std_dev: r.f64()?,
+            },
+            3 => Distribution::Text {
+                vocabulary: r.u64()? as usize,
+                exponent: r.f64()?,
+            },
+            tag => return Err(WireError::Invalid(format!("distribution {tag}"))),
         },
-        3 => Distribution::Text {
-            vocabulary: get_u64(data)? as usize,
-            exponent: get_f64(data)?,
-        },
-        _ => return None,
-    };
-    let batch_per_tick = get_u8(data)? != 0;
-    let route_cache = get_u8(data)? != 0;
-    let query_sample_cap = get_u64(data)? as usize;
-    let recovery_retry_ms = get_u64(data)?;
-    let recovery_retry_max_ms = get_u64(data)?;
-    Some(NetConfig {
-        n_peers,
-        keys_per_peer,
-        n_min,
-        delta_max,
-        latency_min_ms,
-        latency_max_ms,
-        loss_probability,
-        construct_interval_ms,
-        query_timeout_ms,
-        routing_fanout,
-        seed,
-        distribution,
-        batch_per_tick,
-        route_cache,
-        query_sample_cap,
-        recovery_retry_ms,
-        recovery_retry_max_ms,
+        batch_per_tick: r.bool()?,
+        route_cache: r.bool()?,
+        query_sample_cap: r.u64()? as usize,
+        recovery_retry_ms: r.u64()?,
+        recovery_retry_max_ms: r.u64()?,
     })
 }
 
-fn put_histogram(buf: &mut BytesMut, histogram: &LogHistogram) {
-    let sparse = histogram.sparse_buckets();
-    buf.put_u32(sparse.len() as u32);
-    for (bucket, count) in sparse {
-        buf.put_u16(bucket);
-        buf.put_u64(count);
-    }
-    buf.put_u64(histogram.sum());
-    buf.put_u64(histogram.max());
-}
-
-fn get_histogram(data: &mut Bytes) -> Option<LogHistogram> {
-    let n = get_u32(data)? as usize;
-    if n > pgrid_core::histogram::NUM_BUCKETS {
-        return None;
-    }
-    let mut sparse = Vec::with_capacity(n);
-    for _ in 0..n {
-        sparse.push((get_u16(data)?, get_u64(data)?));
-    }
-    let sum = get_u64(data)?;
-    let max = get_u64(data)?;
-    Some(LogHistogram::from_sparse(&sparse, sum, max))
-}
-
-fn put_aggregates(buf: &mut BytesMut, stats: &QueryAggregates) {
-    buf.put_u64(stats.issued);
-    buf.put_u64(stats.answered);
-    buf.put_u64(stats.succeeded);
-    buf.put_u64(stats.timed_out);
-    buf.put_u64(stats.late_responses);
-    buf.put_u64(stats.hops_sum_successful);
-    put_histogram(buf, &stats.latency);
-    buf.put_u64(stats.ranges_issued);
-    buf.put_u64(stats.ranges_complete);
-    put_histogram(buf, &stats.range_latency);
-    buf.put_u32(stats.per_minute.len() as u32);
+fn put_aggregates(w: &mut Writer, stats: &QueryAggregates) {
+    w.u64(stats.issued);
+    w.u64(stats.answered);
+    w.u64(stats.succeeded);
+    w.u64(stats.timed_out);
+    w.u64(stats.late_responses);
+    w.u64(stats.hops_sum_successful);
+    w.histogram(&stats.latency);
+    w.u64(stats.ranges_issued);
+    w.u64(stats.ranges_complete);
+    w.histogram(&stats.range_latency);
+    w.count(stats.per_minute.len());
     for (minute, bucket) in &stats.per_minute {
-        buf.put_u64(*minute);
-        buf.put_u64(bucket.count);
-        buf.put_f64(bucket.sum_s);
-        buf.put_f64(bucket.sum_sq_s);
+        w.u64(*minute);
+        w.u64(bucket.count);
+        w.f64(bucket.sum_s);
+        w.f64(bucket.sum_sq_s);
     }
 }
 
-fn get_aggregates(data: &mut Bytes) -> Option<QueryAggregates> {
-    let issued = get_u64(data)?;
-    let answered = get_u64(data)?;
-    let succeeded = get_u64(data)?;
-    let timed_out = get_u64(data)?;
-    let late_responses = get_u64(data)?;
-    let hops_sum_successful = get_u64(data)?;
-    let latency = get_histogram(data)?;
-    let ranges_issued = get_u64(data)?;
-    let ranges_complete = get_u64(data)?;
-    let range_latency = get_histogram(data)?;
-    let n_minutes = get_u32(data)? as usize;
-    if n_minutes > 1 << 24 {
-        return None;
-    }
-    let mut per_minute = std::collections::BTreeMap::new();
+fn get_aggregates(r: &mut Reader<'_>) -> WireResult<QueryAggregates> {
+    let mut stats = QueryAggregates {
+        issued: r.u64()?,
+        answered: r.u64()?,
+        succeeded: r.u64()?,
+        timed_out: r.u64()?,
+        late_responses: r.u64()?,
+        hops_sum_successful: r.u64()?,
+        latency: r.histogram()?,
+        ranges_issued: r.u64()?,
+        ranges_complete: r.u64()?,
+        range_latency: r.histogram()?,
+        ..QueryAggregates::default()
+    };
+    let n_minutes = r.count(MAX_ITEMS, 4 * 8)?;
     for _ in 0..n_minutes {
-        let minute = get_u64(data)?;
-        per_minute.insert(
+        let minute = r.u64()?;
+        stats.per_minute.insert(
             minute,
             MinuteLatency {
-                count: get_u64(data)?,
-                sum_s: get_f64(data)?,
-                sum_sq_s: get_f64(data)?,
+                count: r.u64()?,
+                sum_s: r.f64()?,
+                sum_sq_s: r.f64()?,
             },
         );
     }
-    Some(QueryAggregates {
-        issued,
-        answered,
-        succeeded,
-        timed_out,
-        late_responses,
-        hops_sum_successful,
-        latency,
-        ranges_issued,
-        ranges_complete,
-        range_latency,
-        per_minute,
+    Ok(stats)
+}
+
+fn put_timeline(w: &mut Writer, timeline: &Timeline) {
+    w.u64(timeline.join_end_min);
+    w.u64(timeline.replicate_end_min);
+    w.u64(timeline.construct_end_min);
+    w.u64(timeline.range_end_min);
+    w.u64(timeline.query_end_min);
+    w.u64(timeline.end_min);
+}
+
+fn get_timeline(r: &mut Reader<'_>) -> WireResult<Timeline> {
+    Ok(Timeline {
+        join_end_min: r.u64()?,
+        replicate_end_min: r.u64()?,
+        construct_end_min: r.u64()?,
+        range_end_min: r.u64()?,
+        query_end_min: r.u64()?,
+        end_min: r.u64()?,
     })
 }
 
-fn put_timeline(buf: &mut BytesMut, timeline: &Timeline) {
-    buf.put_u64(timeline.join_end_min);
-    buf.put_u64(timeline.replicate_end_min);
-    buf.put_u64(timeline.construct_end_min);
-    buf.put_u64(timeline.range_end_min);
-    buf.put_u64(timeline.query_end_min);
-    buf.put_u64(timeline.end_min);
-}
-
-fn get_timeline(data: &mut Bytes) -> Option<Timeline> {
-    Some(Timeline {
-        join_end_min: get_u64(data)?,
-        replicate_end_min: get_u64(data)?,
-        construct_end_min: get_u64(data)?,
-        range_end_min: get_u64(data)?,
-        query_end_min: get_u64(data)?,
-        end_min: get_u64(data)?,
-    })
-}
-
-fn put_addr(buf: &mut BytesMut, addr: &SocketAddr) {
+fn put_addr(w: &mut Writer, addr: &SocketAddr) {
     match addr.ip() {
         IpAddr::V4(ip) => {
-            buf.put_u8(4);
-            buf.put_slice(&ip.octets());
+            w.u8(4);
+            w.raw(&ip.octets());
         }
         IpAddr::V6(ip) => {
-            buf.put_u8(6);
-            buf.put_slice(&ip.octets());
+            w.u8(6);
+            w.raw(&ip.octets());
         }
     }
-    buf.put_u16(addr.port());
+    w.u16(addr.port());
 }
 
-fn get_addr(data: &mut Bytes) -> Option<SocketAddr> {
-    let ip: IpAddr = match get_u8(data)? {
-        4 => {
-            let mut octets = [0u8; 4];
-            get_bytes(data, &mut octets)?;
-            Ipv4Addr::from(octets).into()
-        }
-        6 => {
-            let mut octets = [0u8; 16];
-            get_bytes(data, &mut octets)?;
-            Ipv6Addr::from(octets).into()
-        }
-        _ => return None,
+fn get_addr(r: &mut Reader<'_>) -> WireResult<SocketAddr> {
+    let ip: IpAddr = match r.u8()? {
+        4 => Ipv4Addr::from(r.array::<4>()?).into(),
+        6 => Ipv6Addr::from(r.array::<16>()?).into(),
+        family => return Err(WireError::Invalid(format!("address family {family}"))),
     };
-    let port = get_u16(data)?;
-    Some(SocketAddr::new(ip, port))
+    Ok(SocketAddr::new(ip, r.u16()?))
 }
 
-fn put_addrs(buf: &mut BytesMut, addrs: &[(u64, SocketAddr)]) {
-    buf.put_u32(addrs.len() as u32);
+fn put_addrs(w: &mut Writer, addrs: &[(u64, SocketAddr)]) {
+    w.count(addrs.len());
     for (peer, addr) in addrs {
-        buf.put_u64(*peer);
-        put_addr(buf, addr);
+        w.u64(*peer);
+        put_addr(w, addr);
     }
 }
 
-fn get_addrs(data: &mut Bytes) -> Option<Vec<(u64, SocketAddr)>> {
-    let n = get_u32(data)? as usize;
-    if n > 1 << 24 {
-        return None;
-    }
-    let mut addrs = Vec::with_capacity(n.min(65536));
+fn get_addrs(r: &mut Reader<'_>) -> WireResult<Vec<(u64, SocketAddr)>> {
+    let n = r.count(MAX_ITEMS, 8 + ADDR_MIN_BYTES)?;
+    let mut addrs = Vec::with_capacity(n);
     for _ in 0..n {
-        let peer = get_u64(data)?;
-        addrs.push((peer, get_addr(data)?));
+        addrs.push((r.u64()?, get_addr(r)?));
     }
-    Some(addrs)
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_string(data: &mut Bytes) -> Option<String> {
-    let len = get_u32(data)? as usize;
-    if len > 1 << 16 || data.remaining() < len {
-        return None;
-    }
-    String::from_utf8(data.split_to(len).as_slice().to_vec()).ok()
-}
-
-fn put_path(buf: &mut BytesMut, path: &Path) {
-    buf.put_u8(path.len() as u8);
-    let mut bits: u64 = 0;
-    for (i, b) in path.bits_iter().enumerate() {
-        if b {
-            bits |= 1 << (63 - i);
-        }
-    }
-    buf.put_u64(bits);
-}
-
-fn get_path(data: &mut Bytes) -> Option<Path> {
-    let len = get_u8(data)? as usize;
-    if len > pgrid_core::path::MAX_PATH_LEN {
-        return None;
-    }
-    let bits = get_u64(data)?;
-    let mut path = Path::root();
-    for i in 0..len {
-        path = path.child((bits >> (63 - i)) & 1 == 1);
-    }
-    Some(path)
-}
-
-fn get_u8(data: &mut Bytes) -> Option<u8> {
-    (data.remaining() >= 1).then(|| data.get_u8())
-}
-
-fn get_u16(data: &mut Bytes) -> Option<u16> {
-    (data.remaining() >= 2).then(|| data.get_u16())
-}
-
-fn get_u32(data: &mut Bytes) -> Option<u32> {
-    (data.remaining() >= 4).then(|| data.get_u32())
-}
-
-fn get_u64(data: &mut Bytes) -> Option<u64> {
-    (data.remaining() >= 8).then(|| data.get_u64())
-}
-
-fn get_f64(data: &mut Bytes) -> Option<f64> {
-    get_u64(data).map(f64::from_bits)
-}
-
-fn get_bytes(data: &mut Bytes, out: &mut [u8]) -> Option<()> {
-    if data.remaining() < out.len() {
-        return None;
-    }
-    for byte in out.iter_mut() {
-        *byte = data.get_u8();
-    }
-    Some(())
+    Ok(addrs)
 }
 
 // ----- control channel -------------------------------------------------------
@@ -1300,9 +1140,6 @@ mod tests {
                 ]
                 .into_iter()
                 .collect(),
-                frames_compressed: 12,
-                compressed_bytes_raw: 48_000,
-                compressed_bytes_wire: 1_900,
                 reactor: Some(ReactorStats {
                     registered_peers: 32,
                     registered_fds: 3,

@@ -31,7 +31,9 @@
 //!   accounting at production query rates;
 //! * [`replication`] — replica-count estimation from key-set overlap and
 //!   anti-entropy reconciliation;
-//! * [`trie`] — an explicit trie representation used by analyses and tests.
+//! * [`trie`] — an explicit trie representation used by analyses and tests;
+//! * [`wire`] — the big-endian binary codec toolkit every wire and disk
+//!   format of the workspace is built from.
 //!
 //! # Quick example
 //!
@@ -67,6 +69,7 @@ pub mod routing;
 pub mod search;
 pub mod store;
 pub mod trie;
+pub mod wire;
 
 /// Convenient re-exports of the most frequently used types.
 pub mod prelude {

@@ -143,6 +143,16 @@ impl Path {
         })
     }
 
+    /// The path of length `len` whose bits are the top `len` bits of
+    /// `bits` (the wire form; lower bits are ignored).
+    pub(crate) fn from_left_aligned(bits: u64, len: usize) -> Path {
+        Path {
+            bits,
+            len: MAX_PATH_LEN as u8,
+        }
+        .prefix(len)
+    }
+
     /// The prefix of this path consisting of its first `n` bits.
     ///
     /// # Panics

@@ -6,8 +6,9 @@
 //! torn-tail truncation safe: a full image can always be re-applied, a
 //! delta applies on top of whatever image replay has built so far.
 
-use pgrid_core::key::{DataEntry, DataId, Key};
-use pgrid_core::path::{Path, MAX_PATH_LEN};
+use pgrid_core::key::DataEntry;
+use pgrid_core::path::Path;
+use pgrid_core::wire::{Reader, WireError, WireResult, Writer, NO_CAP, PATH_BYTES};
 
 /// Worker-level metadata: which shard this log belongs to and how far
 /// the run had progressed at the last sync.
@@ -107,30 +108,30 @@ const DELTA_REPLICAS: u8 = 4;
 impl Record {
     /// Encodes the record as one segment payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
+        let mut w = Writer::with_capacity(64);
         match self {
             Record::Meta(meta) => {
-                buf.push(TAG_META);
-                put_u32(&mut buf, meta.shard_start);
-                put_u32(&mut buf, meta.shard_len);
-                put_u64(&mut buf, meta.epoch);
-                buf.push(meta.phase);
-                put_u64(&mut buf, meta.now_ms);
-                put_u64(&mut buf, meta.seed);
+                w.u8(TAG_META);
+                w.u32(meta.shard_start);
+                w.u32(meta.shard_len);
+                w.u64(meta.epoch);
+                w.u8(meta.phase);
+                w.u64(meta.now_ms);
+                w.u64(meta.seed);
             }
             Record::Image { index, peer, image } => {
-                buf.push(TAG_IMAGE);
-                put_u32(&mut buf, *index);
-                put_u32(&mut buf, *peer);
-                put_path(&mut buf, &image.path);
-                put_entries(&mut buf, &image.entries);
-                put_routing(&mut buf, &image.routing);
-                put_peers(&mut buf, &image.replicas);
+                w.u8(TAG_IMAGE);
+                w.u32(*index);
+                w.u32(*peer);
+                w.path(&image.path);
+                w.entries(&image.entries);
+                put_routing(&mut w, &image.routing);
+                put_peers(&mut w, &image.replicas);
             }
             Record::Delta { index, peer, delta } => {
-                buf.push(TAG_DELTA);
-                put_u32(&mut buf, *index);
-                put_u32(&mut buf, *peer);
+                w.u8(TAG_DELTA);
+                w.u32(*index);
+                w.u32(*peer);
                 let mut flags = 0u8;
                 if delta.path.is_some() {
                     flags |= DELTA_PATH;
@@ -141,186 +142,111 @@ impl Record {
                 if delta.replicas.is_some() {
                     flags |= DELTA_REPLICAS;
                 }
-                buf.push(flags);
+                w.u8(flags);
                 if let Some(path) = &delta.path {
-                    put_path(&mut buf, path);
+                    w.path(path);
                 }
-                put_entries(&mut buf, &delta.added);
-                put_entries(&mut buf, &delta.removed);
+                w.entries(&delta.added);
+                w.entries(&delta.removed);
                 if let Some(routing) = &delta.routing {
-                    put_routing(&mut buf, routing);
+                    put_routing(&mut w, routing);
                 }
                 if let Some(replicas) = &delta.replicas {
-                    put_peers(&mut buf, replicas);
+                    put_peers(&mut w, replicas);
                 }
             }
         }
-        buf
+        w.into_vec()
     }
 
     /// Decodes one segment payload.  The payload passed its checksum, so
     /// a decode failure means a format mismatch, not crash damage.
-    pub fn decode(buf: &[u8]) -> Result<Record, String> {
-        let mut at = 0usize;
-        let record = match get_u8(buf, &mut at)? {
+    pub fn decode(buf: &[u8]) -> Result<Record, WireError> {
+        let mut r = Reader::new(buf);
+        let record = match r.u8()? {
             TAG_META => Record::Meta(MetaImage {
-                shard_start: get_u32(buf, &mut at)?,
-                shard_len: get_u32(buf, &mut at)?,
-                epoch: get_u64(buf, &mut at)?,
-                phase: get_u8(buf, &mut at)?,
-                now_ms: get_u64(buf, &mut at)?,
-                seed: get_u64(buf, &mut at)?,
+                shard_start: r.u32()?,
+                shard_len: r.u32()?,
+                epoch: r.u64()?,
+                phase: r.u8()?,
+                now_ms: r.u64()?,
+                seed: r.u64()?,
             }),
             TAG_IMAGE => Record::Image {
-                index: get_u32(buf, &mut at)?,
-                peer: get_u32(buf, &mut at)?,
+                index: r.u32()?,
+                peer: r.u32()?,
                 image: PeerImage {
-                    path: get_path(buf, &mut at)?,
-                    entries: get_entries(buf, &mut at)?,
-                    routing: get_routing(buf, &mut at)?,
-                    replicas: get_peers(buf, &mut at)?,
+                    path: r.path()?,
+                    entries: r.entries(NO_CAP)?,
+                    routing: get_routing(&mut r)?,
+                    replicas: get_peers(&mut r)?,
                 },
             },
             TAG_DELTA => {
-                let index = get_u32(buf, &mut at)?;
-                let peer = get_u32(buf, &mut at)?;
-                let flags = get_u8(buf, &mut at)?;
+                let index = r.u32()?;
+                let peer = r.u32()?;
+                let flags = r.u8()?;
                 Record::Delta {
                     index,
                     peer,
                     delta: PeerDelta {
                         path: if flags & DELTA_PATH != 0 {
-                            Some(get_path(buf, &mut at)?)
+                            Some(r.path()?)
                         } else {
                             None
                         },
-                        added: get_entries(buf, &mut at)?,
-                        removed: get_entries(buf, &mut at)?,
+                        added: r.entries(NO_CAP)?,
+                        removed: r.entries(NO_CAP)?,
                         routing: if flags & DELTA_ROUTING != 0 {
-                            Some(get_routing(buf, &mut at)?)
+                            Some(get_routing(&mut r)?)
                         } else {
                             None
                         },
                         replicas: if flags & DELTA_REPLICAS != 0 {
-                            Some(get_peers(buf, &mut at)?)
+                            Some(get_peers(&mut r)?)
                         } else {
                             None
                         },
                     },
                 }
             }
-            tag => return Err(format!("unknown record tag {tag}")),
+            tag => return Err(WireError::Invalid(format!("record tag {tag}"))),
         };
-        if at != buf.len() {
-            return Err(format!("{} trailing bytes after record", buf.len() - at));
-        }
+        r.finish()?;
         Ok(record)
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_path(buf: &mut Vec<u8>, path: &Path) {
-    buf.push(path.len() as u8);
-    let mut bits = 0u64;
-    for (i, b) in path.bits_iter().enumerate() {
-        if b {
-            bits |= 1 << (63 - i);
-        }
-    }
-    put_u64(buf, bits);
-}
-
-fn put_entries(buf: &mut Vec<u8>, entries: &[DataEntry]) {
-    put_u32(buf, entries.len() as u32);
-    for e in entries {
-        put_u64(buf, e.key.0);
-        put_u64(buf, e.id.0);
-    }
-}
-
-fn put_routing(buf: &mut Vec<u8>, routing: &[(u8, u64, Path)]) {
-    put_u32(buf, routing.len() as u32);
+fn put_routing(w: &mut Writer, routing: &[(u8, u64, Path)]) {
+    w.count(routing.len());
     for (level, peer, path) in routing {
-        buf.push(*level);
-        put_u64(buf, *peer);
-        put_path(buf, path);
+        w.u8(*level);
+        w.u64(*peer);
+        w.path(path);
     }
 }
 
-fn put_peers(buf: &mut Vec<u8>, peers: &[u64]) {
-    put_u32(buf, peers.len() as u32);
+fn put_peers(w: &mut Writer, peers: &[u64]) {
+    w.count(peers.len());
     for p in peers {
-        put_u64(buf, *p);
+        w.u64(*p);
     }
 }
 
-fn get_u8(buf: &[u8], at: &mut usize) -> Result<u8, String> {
-    let v = *buf.get(*at).ok_or("record truncated (u8)")?;
-    *at += 1;
-    Ok(v)
-}
-
-fn get_u32(buf: &[u8], at: &mut usize) -> Result<u32, String> {
-    let bytes = buf.get(*at..*at + 4).ok_or("record truncated (u32)")?;
-    *at += 4;
-    Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_u64(buf: &[u8], at: &mut usize) -> Result<u64, String> {
-    let bytes = buf.get(*at..*at + 8).ok_or("record truncated (u64)")?;
-    *at += 8;
-    Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_path(buf: &[u8], at: &mut usize) -> Result<Path, String> {
-    let len = get_u8(buf, at)? as usize;
-    if len > MAX_PATH_LEN {
-        return Err(format!("path length {len} exceeds MAX_PATH_LEN"));
-    }
-    let bits = get_u64(buf, at)?;
-    let mut path = Path::root();
-    for i in 0..len {
-        path = path.child((bits >> (63 - i)) & 1 == 1);
-    }
-    Ok(path)
-}
-
-fn get_entries(buf: &[u8], at: &mut usize) -> Result<Vec<DataEntry>, String> {
-    let n = get_u32(buf, at)? as usize;
-    let mut entries = Vec::with_capacity(n.min(1 << 16));
+fn get_routing(r: &mut Reader<'_>) -> WireResult<Vec<(u8, u64, Path)>> {
+    let n = r.count(NO_CAP, 1 + 8 + PATH_BYTES)?;
+    let mut routing = Vec::with_capacity(n);
     for _ in 0..n {
-        entries.push(DataEntry {
-            key: Key(get_u64(buf, at)?),
-            id: DataId(get_u64(buf, at)?),
-        });
-    }
-    Ok(entries)
-}
-
-fn get_routing(buf: &[u8], at: &mut usize) -> Result<Vec<(u8, u64, Path)>, String> {
-    let n = get_u32(buf, at)? as usize;
-    let mut routing = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let level = get_u8(buf, at)?;
-        let peer = get_u64(buf, at)?;
-        let path = get_path(buf, at)?;
-        routing.push((level, peer, path));
+        routing.push((r.u8()?, r.u64()?, r.path()?));
     }
     Ok(routing)
 }
 
-fn get_peers(buf: &[u8], at: &mut usize) -> Result<Vec<u64>, String> {
-    let n = get_u32(buf, at)? as usize;
-    let mut peers = Vec::with_capacity(n.min(1 << 16));
+fn get_peers(r: &mut Reader<'_>) -> WireResult<Vec<u64>> {
+    let n = r.count(NO_CAP, 8)?;
+    let mut peers = Vec::with_capacity(n);
     for _ in 0..n {
-        peers.push(get_u64(buf, at)?);
+        peers.push(r.u64()?);
     }
     Ok(peers)
 }
@@ -328,6 +254,7 @@ fn get_peers(buf: &[u8], at: &mut usize) -> Result<Vec<u64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgrid_core::key::{DataId, Key};
 
     fn sample_records() -> Vec<Record> {
         vec![

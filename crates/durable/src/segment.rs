@@ -7,11 +7,16 @@
 //! seg-<seq>.log
 //! +--------+---------+---------+----------------------------------+
 //! | magic  | version | seq     | records ...                      |
-//! | "PGDL" | u16 LE  | u64 LE  |                                  |
+//! | "PGDL" | u16     | u64     |                                  |
 //! +--------+---------+---------+----------------------------------+
 //!
-//! record = | len u32 LE | crc32 u32 LE | payload (len bytes) |
+//! record = | len u32 | crc32 u32 | payload (len bytes) |
 //! ```
+//!
+//! Integers are big-endian, written and read through
+//! [`pgrid_core::wire`] like every other format of the workspace.
+//! Version 2 switched from little- to big-endian; a version-1 log is
+//! rejected as an unsupported version.
 //!
 //! Segments are strictly append-only and never reopened for writing: a
 //! process that restarts always starts a fresh segment with a higher
@@ -26,11 +31,13 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use pgrid_core::wire::{Reader, WireError, WireResult, Writer};
+
 /// Magic bytes of every segment file.
 pub const MAGIC: [u8; 4] = *b"PGDL";
 
 /// On-disk format version.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Bytes of the segment header (magic + version + sequence number).
 pub const SEGMENT_HEADER_LEN: u64 = 14;
@@ -121,52 +128,59 @@ pub fn read_segment(path: &Path) -> io::Result<SegmentScan> {
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
     let file_len = data.len() as u64;
-    if file_len < SEGMENT_HEADER_LEN {
+    let mut r = Reader::new(&data);
+    let Ok((magic, version, seq)) = read_header(&mut r) else {
         return Ok(SegmentScan {
             seq: 0,
             records: Vec::new(),
             valid_len: 0,
             file_len,
         });
-    }
-    if data[0..4] != MAGIC {
+    };
+    if magic != MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("{}: not a segment file (bad magic)", path.display()),
         ));
     }
-    let version = u16::from_le_bytes([data[4], data[5]]);
     if version != FORMAT_VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("{}: unsupported segment version {version}", path.display()),
         ));
     }
-    let seq = u64::from_le_bytes(data[6..14].try_into().unwrap());
     let mut records = Vec::new();
-    let mut at = SEGMENT_HEADER_LEN as usize;
-    while let Some(header) = data.get(at..at + RECORD_HEADER_LEN as usize) {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            break;
-        }
-        let start = at + RECORD_HEADER_LEN as usize;
-        let Some(payload) = data.get(start..start + len as usize) else {
-            break;
-        };
-        if crc32(payload) != crc {
-            break;
-        }
+    let mut valid_len = SEGMENT_HEADER_LEN;
+    while let Ok(payload) = read_record(&mut r) {
         records.push(payload.to_vec());
-        at = start + len as usize;
+        valid_len = file_len - r.remaining() as u64;
     }
     Ok(SegmentScan {
         seq,
         records,
-        valid_len: at as u64,
+        valid_len,
         file_len,
     })
+}
+
+/// Reads the segment header: magic, format version, sequence number.
+fn read_header(r: &mut Reader<'_>) -> WireResult<([u8; 4], u16, u64)> {
+    Ok((r.array()?, r.u16()?, r.u64()?))
+}
+
+/// Reads one `[len | crc32 | payload]` record, failing on a torn or
+/// corrupt one.
+fn read_record<'a>(r: &mut Reader<'a>) -> WireResult<&'a [u8]> {
+    let len = r.u32()?;
+    let crc = r.u32()?;
+    if len > MAX_RECORD_LEN {
+        return Err(WireError::Count(len.into()));
+    }
+    let payload = r.bytes(len as usize)?;
+    if crc32(payload) != crc {
+        return Err(WireError::Invalid("record checksum mismatch".into()));
+    }
+    Ok(payload)
 }
 
 /// The active (append) segment.
@@ -186,11 +200,11 @@ impl SegmentWriter {
             .truncate(true)
             .write(true)
             .open(&path)?;
-        let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&seq.to_le_bytes());
-        file.write_all(&header)?;
+        let mut header = Writer::with_capacity(SEGMENT_HEADER_LEN as usize);
+        header.raw(&MAGIC);
+        header.u16(FORMAT_VERSION);
+        header.u64(seq);
+        file.write_all(&header.into_vec())?;
         Ok(SegmentWriter {
             file,
             path,
@@ -205,10 +219,11 @@ impl SegmentWriter {
             payload.len() as u64 <= MAX_RECORD_LEN as u64,
             "record payload exceeds MAX_RECORD_LEN"
         );
-        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let mut w = Writer::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
+        w.u32(payload.len() as u32);
+        w.u32(crc32(payload));
+        w.raw(payload);
+        let frame = w.into_vec();
         self.file.write_all(&frame)?;
         self.bytes += frame.len() as u64;
         self.records += 1;
@@ -498,6 +513,26 @@ mod tests {
         // The truncated file now ends exactly at the valid prefix.
         let scan = read_segment(&seg).unwrap();
         assert_eq!(scan.valid_len, scan.file_len);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_logs_are_rejected() {
+        let dir = temp_dir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A little-endian version-1 header.
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&1u64.to_le_bytes());
+        std::fs::write(dir.join(segment_file_name(1)), v1).unwrap();
+        let err = Log::open(&dir, LogOptions::default())
+            .err()
+            .expect("v1 log");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unsupported segment version 256"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,8 +2,9 @@
 //!
 //! Three layers of the same guarantee:
 //!
-//! * the record codec round-trips arbitrary records and rejects every
-//!   strict prefix (property test);
+//! * the record codec round-trips arbitrary records, rejects every strict
+//!   prefix, and never panics on arbitrary or corrupted bytes; segment
+//!   replay never panics on arbitrary file contents (property tests);
 //! * the segment layer, truncated at **every** byte offset — the crash
 //!   matrix a torn write can produce — recovers exactly the records whose
 //!   frames fit below the cut (exhaustive);
@@ -16,7 +17,7 @@ use pgrid_core::key::{DataEntry, DataId, Key};
 use pgrid_core::path::Path;
 use pgrid_core::store::KeyStore;
 use pgrid_durable::{
-    DurableStore, Log, LogOptions, MetaImage, MirrorImage, PeerDelta, PeerImage, Record,
+    crc32, DurableStore, Log, LogOptions, MetaImage, MirrorImage, PeerDelta, PeerImage, Record,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -120,6 +121,84 @@ proptest! {
         let wire = arbitrary_record(variant, &mut rng).encode();
         let cut = cut % wire.len();
         prop_assert!(Record::decode(&wire[..cut]).is_err(), "prefix of length {} decoded", cut);
+    }
+
+    // The record decoder is total: arbitrary bytes, and valid records
+    // with corrupted bytes, decode or fail but never panic or abort.
+    #[test]
+    fn arbitrary_record_bytes_never_panic(
+        data in proptest::collection::vec(any::<u8>(), 0..512),
+        seed in any::<u64>(),
+        variant in 0u8..3,
+    ) {
+        let _ = Record::decode(&data);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let corrupted = corrupt(arbitrary_record(variant, &mut rng).encode(), &data);
+        let _ = Record::decode(&corrupted);
+    }
+}
+
+/// Overwrites bytes of `wire` at positions and values drawn from `noise`
+/// (pairs of position, value), so corruption lands deep inside a valid
+/// encoding rather than only in its first bytes.
+fn corrupt(mut wire: Vec<u8>, noise: &[u8]) -> Vec<u8> {
+    for pair in noise.chunks_exact(2).take(4) {
+        let at = pair[0] as usize % wire.len().max(1);
+        if let Some(byte) = wire.get_mut(at) {
+            *byte = pair[1];
+        }
+    }
+    wire
+}
+
+/// One `[len | crc32 | payload]` segment record with a valid checksum.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&crc32(payload).to_be_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // Segment replay is total: a segment file of arbitrary bytes — behind
+    // a valid header or not, with checksum-valid records whose payloads
+    // are garbage or corrupted records — opens or fails with an error,
+    // never a panic.
+    #[test]
+    fn replaying_arbitrary_segments_never_panics(
+        data in proptest::collection::vec(any::<u8>(), 0..512),
+        seed in any::<u64>(),
+        shape in 0u8..3,
+    ) {
+        let dir = temp_dir("arbitrary");
+        std::fs::create_dir_all(&dir).unwrap();
+        let segment = dir.join("seg-0000000001.log");
+        let header = {
+            let (_, _, _) = Log::open(&dir, LogOptions::default()).unwrap();
+            std::fs::read(&segment).unwrap()
+        };
+        prop_assert_eq!(header.len() as u64, SEGMENT_HEADER_LEN);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bytes = match shape {
+            0 => data.clone(),
+            1 => [header.clone(), data.clone()].concat(),
+            _ => {
+                let mut bytes = header.clone();
+                bytes.extend(framed(&data));
+                for variant in 0..3 {
+                    let record = arbitrary_record(variant, &mut rng).encode();
+                    bytes.extend(framed(&corrupt(record, &data)));
+                }
+                bytes
+            }
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&segment, &bytes).unwrap();
+        let _ = DurableStore::open(&dir, LogOptions::default());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -2,14 +2,14 @@
 //!
 //! Peers only communicate through these messages; the encoded size of every
 //! message is what the bandwidth accounting of the Figure 8 experiment
-//! measures.  The codec is a simple hand-rolled binary format over
-//! [`bytes`]: self-describing enough for tests, compact enough that the
-//! byte counts are meaningful.
+//! measures.  The codec is built on [`pgrid_core::wire`]: self-describing
+//! enough for tests, compact enough that the byte counts are meaningful.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use pgrid_core::key::{DataEntry, DataId, Key};
+use bytes::Bytes;
+use pgrid_core::key::{DataEntry, Key};
 use pgrid_core::path::Path;
 use pgrid_core::routing::PeerId;
+use pgrid_core::wire::{Reader, WireError, WireResult, Writer, NO_CAP, PATH_BYTES};
 
 /// A protocol message exchanged between peers.
 #[derive(Clone, Debug, PartialEq)]
@@ -200,51 +200,57 @@ pub enum ExchangeOutcome {
     Nothing,
 }
 
+/// Cap on entries per message.
+const MAX_ENTRIES: usize = 1_000_000;
+
+/// Cap on routing references and replicas per [`Message::ReplicaPush`].
+const MAX_PUSH_REFS: usize = 65_536;
+
 impl Message {
     /// Encodes the message into a byte buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        self.encode_into(&mut buf);
-        buf.freeze()
+        let mut w = Writer::with_capacity(64);
+        self.encode_into(&mut w);
+        Bytes::from(w.into_vec())
     }
 
     /// Appends the encoding to an existing buffer (used by the envelope so
     /// wrapping never buffers the inner message twice).
-    fn encode_into(&self, buf: &mut BytesMut) {
+    fn encode_into(&self, w: &mut Writer) {
         match self {
             Message::Join { peer } => {
-                buf.put_u8(0);
-                buf.put_u64(peer.0);
+                w.u8(0);
+                w.u64(peer.0);
             }
             Message::JoinAck { neighbours } => {
-                buf.put_u8(1);
-                buf.put_u32(neighbours.len() as u32);
+                w.u8(1);
+                w.count(neighbours.len());
                 for n in neighbours {
-                    buf.put_u64(n.0);
+                    w.u64(n.0);
                 }
             }
             Message::Replicate { entries } => {
-                buf.put_u8(2);
-                put_entries(buf, entries);
+                w.u8(2);
+                w.entries(entries);
             }
             Message::Exchange {
                 from,
                 path,
                 entries,
             } => {
-                buf.put_u8(3);
-                buf.put_u64(from.0);
-                put_path(buf, path);
-                put_entries(buf, entries);
+                w.u8(3);
+                w.u64(from.0);
+                w.path(path);
+                w.entries(entries);
             }
             Message::ExchangeReply {
                 from,
                 path,
                 outcome,
             } => {
-                buf.put_u8(4);
-                buf.put_u64(from.0);
-                put_path(buf, path);
+                w.u8(4);
+                w.u64(from.0);
+                w.path(path);
                 match outcome {
                     ExchangeOutcome::Split {
                         partition,
@@ -252,29 +258,29 @@ impl Message {
                         entries,
                         complement,
                     } => {
-                        buf.put_u8(0);
-                        put_path(buf, partition);
-                        buf.put_u8(*initiator_bit as u8);
-                        put_entries(buf, entries);
+                        w.u8(0);
+                        w.path(partition);
+                        w.bool(*initiator_bit);
+                        w.entries(entries);
                         match complement {
                             Some((peer, path)) => {
-                                buf.put_u8(1);
-                                buf.put_u64(peer.0);
-                                put_path(buf, path);
+                                w.u8(1);
+                                w.u64(peer.0);
+                                w.path(path);
                             }
-                            None => buf.put_u8(0),
+                            None => w.u8(0),
                         }
                     }
                     ExchangeOutcome::Replicate { entries } => {
-                        buf.put_u8(1);
-                        put_entries(buf, entries);
+                        w.u8(1);
+                        w.entries(entries);
                     }
                     ExchangeOutcome::Refer { peer, path } => {
-                        buf.put_u8(2);
-                        buf.put_u64(peer.0);
-                        put_path(buf, path);
+                        w.u8(2);
+                        w.u64(peer.0);
+                        w.path(path);
                     }
-                    ExchangeOutcome::Nothing => buf.put_u8(3),
+                    ExchangeOutcome::Nothing => w.u8(3),
                 }
             }
             Message::Query {
@@ -283,11 +289,11 @@ impl Message {
                 key,
                 hops,
             } => {
-                buf.put_u8(5);
-                buf.put_u64(origin.0);
-                buf.put_u64(*id);
-                buf.put_u64(key.0);
-                buf.put_u32(*hops);
+                w.u8(5);
+                w.u64(origin.0);
+                w.u64(*id);
+                w.u64(key.0);
+                w.u32(*hops);
             }
             Message::QueryResponse {
                 id,
@@ -295,11 +301,11 @@ impl Message {
                 hops,
                 found,
             } => {
-                buf.put_u8(6);
-                buf.put_u64(*id);
-                put_entries(buf, entries);
-                buf.put_u32(*hops);
-                buf.put_u8(*found as u8);
+                w.u8(6);
+                w.u64(*id);
+                w.entries(entries);
+                w.u32(*hops);
+                w.bool(*found);
             }
             Message::RangeQuery {
                 origin,
@@ -309,13 +315,13 @@ impl Message {
                 cursor,
                 hops,
             } => {
-                buf.put_u8(8);
-                buf.put_u64(origin.0);
-                buf.put_u64(*id);
-                buf.put_u64(lo.0);
-                buf.put_u64(hi.0);
-                buf.put_u64(cursor.0);
-                buf.put_u32(*hops);
+                w.u8(8);
+                w.u64(origin.0);
+                w.u64(*id);
+                w.u64(lo.0);
+                w.u64(hi.0);
+                w.u64(cursor.0);
+                w.u32(*hops);
             }
             Message::RangeResponse {
                 id,
@@ -324,21 +330,21 @@ impl Message {
                 entries,
                 hops,
             } => {
-                buf.put_u8(9);
-                buf.put_u64(*id);
-                buf.put_u64(from.0);
-                buf.put_u64(upto.0);
-                put_entries(buf, entries);
-                buf.put_u32(*hops);
+                w.u8(9);
+                w.u64(*id);
+                w.u64(from.0);
+                w.u64(upto.0);
+                w.entries(entries);
+                w.u32(*hops);
             }
             Message::ForIndex { index, inner } => {
                 debug_assert!(
                     !matches!(**inner, Message::ForIndex { .. } | Message::Traced { .. }),
                     "index envelopes do not nest"
                 );
-                buf.put_u8(7);
-                buf.put_u16(*index);
-                inner.encode_into(buf);
+                w.u8(7);
+                w.u16(*index);
+                inner.encode_into(w);
             }
             Message::Traced { trace_id, inner } => {
                 debug_assert!(
@@ -346,13 +352,13 @@ impl Message {
                     "trace envelopes do not nest"
                 );
                 debug_assert!(*trace_id != 0, "trace id 0 is never enveloped");
-                buf.put_u8(10);
-                buf.put_u64(*trace_id);
-                inner.encode_into(buf);
+                w.u8(10);
+                w.u64(*trace_id);
+                inner.encode_into(w);
             }
             Message::ReplicaPull { origin } => {
-                buf.put_u8(11);
-                buf.put_u64(origin.0);
+                w.u8(11);
+                w.u64(origin.0);
             }
             Message::ReplicaPush {
                 path,
@@ -360,18 +366,18 @@ impl Message {
                 routing,
                 replicas,
             } => {
-                buf.put_u8(12);
-                put_path(buf, path);
-                put_entries(buf, entries);
-                buf.put_u32(routing.len() as u32);
+                w.u8(12);
+                w.path(path);
+                w.entries(entries);
+                w.count(routing.len());
                 for (level, peer, path) in routing {
-                    buf.put_u8(*level);
-                    buf.put_u64(peer.0);
-                    put_path(buf, path);
+                    w.u8(*level);
+                    w.u64(peer.0);
+                    w.path(path);
                 }
-                buf.put_u32(replicas.len() as u32);
+                w.count(replicas.len());
                 for r in replicas {
-                    buf.put_u64(r.0);
+                    w.u64(r.0);
                 }
             }
         }
@@ -380,159 +386,28 @@ impl Message {
     /// Decodes a message previously produced by [`Message::encode`].
     ///
     /// Returns `None` for malformed input.
-    pub fn decode(mut data: Bytes) -> Option<Message> {
-        if data.remaining() < 1 {
-            return None;
-        }
-        let tag = data.get_u8();
-        Some(match tag {
-            0 => Message::Join {
-                peer: PeerId(checked_u64(&mut data)?),
-            },
-            1 => {
-                let n = checked_u32(&mut data)? as usize;
-                let mut neighbours = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    neighbours.push(PeerId(checked_u64(&mut data)?));
-                }
-                Message::JoinAck { neighbours }
-            }
-            2 => Message::Replicate {
-                entries: get_entries(&mut data)?,
-            },
-            3 => Message::Exchange {
-                from: PeerId(checked_u64(&mut data)?),
-                path: get_path(&mut data)?,
-                entries: get_entries(&mut data)?,
-            },
-            4 => {
-                let from = PeerId(checked_u64(&mut data)?);
-                let path = get_path(&mut data)?;
-                let outcome_tag = if data.remaining() >= 1 {
-                    data.get_u8()
-                } else {
-                    return None;
-                };
-                let outcome = match outcome_tag {
-                    0 => {
-                        let partition = get_path(&mut data)?;
-                        let initiator_bit = checked_u8(&mut data)? != 0;
-                        let entries = get_entries(&mut data)?;
-                        let complement = if checked_u8(&mut data)? != 0 {
-                            Some((PeerId(checked_u64(&mut data)?), get_path(&mut data)?))
-                        } else {
-                            None
-                        };
-                        ExchangeOutcome::Split {
-                            partition,
-                            initiator_bit,
-                            entries,
-                            complement,
-                        }
-                    }
-                    1 => ExchangeOutcome::Replicate {
-                        entries: get_entries(&mut data)?,
-                    },
-                    2 => ExchangeOutcome::Refer {
-                        peer: PeerId(checked_u64(&mut data)?),
-                        path: get_path(&mut data)?,
-                    },
-                    3 => ExchangeOutcome::Nothing,
-                    _ => return None,
-                };
-                Message::ExchangeReply {
-                    from,
-                    path,
-                    outcome,
-                }
-            }
-            5 => Message::Query {
-                origin: PeerId(checked_u64(&mut data)?),
-                id: checked_u64(&mut data)?,
-                key: Key(checked_u64(&mut data)?),
-                hops: checked_u32(&mut data)?,
-            },
-            6 => Message::QueryResponse {
-                id: checked_u64(&mut data)?,
-                entries: get_entries(&mut data)?,
-                hops: checked_u32(&mut data)?,
-                found: checked_u8(&mut data)? != 0,
-            },
-            8 => Message::RangeQuery {
-                origin: PeerId(checked_u64(&mut data)?),
-                id: checked_u64(&mut data)?,
-                lo: Key(checked_u64(&mut data)?),
-                hi: Key(checked_u64(&mut data)?),
-                cursor: Key(checked_u64(&mut data)?),
-                hops: checked_u32(&mut data)?,
-            },
-            9 => Message::RangeResponse {
-                id: checked_u64(&mut data)?,
-                from: Key(checked_u64(&mut data)?),
-                upto: Key(checked_u64(&mut data)?),
-                entries: get_entries(&mut data)?,
-                hops: checked_u32(&mut data)?,
-            },
-            7 => {
-                let index = checked_u16(&mut data)?;
-                let inner = Message::decode(data)?;
-                // Envelopes carry a non-zero index and never nest; a trace
-                // envelope is strictly outermost so it cannot appear here.
-                if index == 0 || matches!(inner, Message::ForIndex { .. } | Message::Traced { .. })
-                {
-                    return None;
-                }
-                Message::ForIndex {
-                    index,
-                    inner: Box::new(inner),
-                }
-            }
+    pub fn decode(data: Bytes) -> Option<Message> {
+        let mut r = Reader::new(data.as_slice());
+        match r.u8().ok()? {
             10 => {
-                let trace_id = checked_u64(&mut data)?;
-                let inner = Message::decode(data)?;
-                // Trace envelopes carry a non-zero ID and never nest.
-                if trace_id == 0 || matches!(inner, Message::Traced { .. }) {
-                    return None;
+                // Trace envelopes carry a non-zero ID and are strictly
+                // outermost: they may wrap an index envelope, nothing else
+                // nests.  The inner tag is checked before descending, so no
+                // input can drive the decoder deeper than two envelopes.
+                let trace_id = r.u64().ok()?;
+                let inner = match r.u8().ok()? {
+                    7 => decode_for_index(&mut r),
+                    tag => decode_plain(tag, &mut r),
                 }
-                Message::Traced {
+                .ok()?;
+                (trace_id != 0).then(|| Message::Traced {
                     trace_id,
                     inner: Box::new(inner),
-                }
+                })
             }
-            11 => Message::ReplicaPull {
-                origin: PeerId(checked_u64(&mut data)?),
-            },
-            12 => {
-                let path = get_path(&mut data)?;
-                let entries = get_entries(&mut data)?;
-                let n = checked_u32(&mut data)? as usize;
-                if n > 65_536 {
-                    return None;
-                }
-                let mut routing = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let level = checked_u8(&mut data)?;
-                    let peer = PeerId(checked_u64(&mut data)?);
-                    let path = get_path(&mut data)?;
-                    routing.push((level, peer, path));
-                }
-                let n = checked_u32(&mut data)? as usize;
-                if n > 65_536 {
-                    return None;
-                }
-                let mut replicas = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    replicas.push(PeerId(checked_u64(&mut data)?));
-                }
-                Message::ReplicaPush {
-                    path,
-                    entries,
-                    routing,
-                    replicas,
-                }
-            }
-            _ => return None,
-        })
+            7 => decode_for_index(&mut r).ok(),
+            tag => decode_plain(tag, &mut r).ok(),
+        }
     }
 
     /// Size of the encoded message in bytes (what the bandwidth accounting
@@ -556,71 +431,133 @@ impl Message {
     }
 }
 
-fn put_path(buf: &mut BytesMut, path: &Path) {
-    buf.put_u8(path.len() as u8);
-    let mut bits: u64 = 0;
-    for (i, b) in path.bits_iter().enumerate() {
-        if b {
-            bits |= 1 << (63 - i);
+/// Decodes an index envelope after its tag: a non-zero index around one
+/// non-envelope message.
+fn decode_for_index(r: &mut Reader<'_>) -> WireResult<Message> {
+    let index = r.u16()?;
+    let tag = r.u8()?;
+    let inner = decode_plain(tag, r)?;
+    if index == 0 {
+        return Err(WireError::Invalid("index envelope for index 0".into()));
+    }
+    Ok(Message::ForIndex {
+        index,
+        inner: Box::new(inner),
+    })
+}
+
+/// Decodes the body of a non-envelope message whose tag is `tag`;
+/// envelope tags are rejected here, which is what keeps envelopes flat.
+fn decode_plain(tag: u8, r: &mut Reader<'_>) -> WireResult<Message> {
+    Ok(match tag {
+        0 => Message::Join {
+            peer: PeerId(r.u64()?),
+        },
+        1 => {
+            let n = r.count(NO_CAP, 8)?;
+            let mut neighbours = Vec::with_capacity(n);
+            for _ in 0..n {
+                neighbours.push(PeerId(r.u64()?));
+            }
+            Message::JoinAck { neighbours }
         }
-    }
-    buf.put_u64(bits);
-}
-
-fn get_path(data: &mut Bytes) -> Option<Path> {
-    let len = checked_u8(data)? as usize;
-    if len > pgrid_core::path::MAX_PATH_LEN {
-        return None;
-    }
-    let bits = checked_u64(data)?;
-    let mut path = Path::root();
-    for i in 0..len {
-        path = path.child((bits >> (63 - i)) & 1 == 1);
-    }
-    Some(path)
-}
-
-fn put_entries(buf: &mut BytesMut, entries: &[DataEntry]) {
-    buf.put_u32(entries.len() as u32);
-    for e in entries {
-        buf.put_u64(e.key.0);
-        buf.put_u64(e.id.0);
-    }
-}
-
-fn get_entries(data: &mut Bytes) -> Option<Vec<DataEntry>> {
-    let n = checked_u32(data)? as usize;
-    if n > 1_000_000 {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        let key = Key(checked_u64(data)?);
-        let id = DataId(checked_u64(data)?);
-        entries.push(DataEntry::new(key, id));
-    }
-    Some(entries)
-}
-
-fn checked_u64(data: &mut Bytes) -> Option<u64> {
-    (data.remaining() >= 8).then(|| data.get_u64())
-}
-
-fn checked_u32(data: &mut Bytes) -> Option<u32> {
-    (data.remaining() >= 4).then(|| data.get_u32())
-}
-
-fn checked_u16(data: &mut Bytes) -> Option<u16> {
-    (data.remaining() >= 2).then(|| data.get_u16())
-}
-
-fn checked_u8(data: &mut Bytes) -> Option<u8> {
-    (data.remaining() >= 1).then(|| data.get_u8())
+        2 => Message::Replicate {
+            entries: r.entries(MAX_ENTRIES)?,
+        },
+        3 => Message::Exchange {
+            from: PeerId(r.u64()?),
+            path: r.path()?,
+            entries: r.entries(MAX_ENTRIES)?,
+        },
+        4 => {
+            let from = PeerId(r.u64()?);
+            let path = r.path()?;
+            let outcome = match r.u8()? {
+                0 => ExchangeOutcome::Split {
+                    partition: r.path()?,
+                    initiator_bit: r.bool()?,
+                    entries: r.entries(MAX_ENTRIES)?,
+                    complement: if r.bool()? {
+                        Some((PeerId(r.u64()?), r.path()?))
+                    } else {
+                        None
+                    },
+                },
+                1 => ExchangeOutcome::Replicate {
+                    entries: r.entries(MAX_ENTRIES)?,
+                },
+                2 => ExchangeOutcome::Refer {
+                    peer: PeerId(r.u64()?),
+                    path: r.path()?,
+                },
+                3 => ExchangeOutcome::Nothing,
+                tag => return Err(WireError::Invalid(format!("exchange outcome {tag}"))),
+            };
+            Message::ExchangeReply {
+                from,
+                path,
+                outcome,
+            }
+        }
+        5 => Message::Query {
+            origin: PeerId(r.u64()?),
+            id: r.u64()?,
+            key: Key(r.u64()?),
+            hops: r.u32()?,
+        },
+        6 => Message::QueryResponse {
+            id: r.u64()?,
+            entries: r.entries(MAX_ENTRIES)?,
+            hops: r.u32()?,
+            found: r.bool()?,
+        },
+        8 => Message::RangeQuery {
+            origin: PeerId(r.u64()?),
+            id: r.u64()?,
+            lo: Key(r.u64()?),
+            hi: Key(r.u64()?),
+            cursor: Key(r.u64()?),
+            hops: r.u32()?,
+        },
+        9 => Message::RangeResponse {
+            id: r.u64()?,
+            from: Key(r.u64()?),
+            upto: Key(r.u64()?),
+            entries: r.entries(MAX_ENTRIES)?,
+            hops: r.u32()?,
+        },
+        11 => Message::ReplicaPull {
+            origin: PeerId(r.u64()?),
+        },
+        12 => {
+            let path = r.path()?;
+            let entries = r.entries(MAX_ENTRIES)?;
+            let n = r.count(MAX_PUSH_REFS, 1 + 8 + PATH_BYTES)?;
+            let mut routing = Vec::with_capacity(n);
+            for _ in 0..n {
+                routing.push((r.u8()?, PeerId(r.u64()?), r.path()?));
+            }
+            let n = r.count(MAX_PUSH_REFS, 8)?;
+            let mut replicas = Vec::with_capacity(n);
+            for _ in 0..n {
+                replicas.push(PeerId(r.u64()?));
+            }
+            Message::ReplicaPush {
+                path,
+                entries,
+                routing,
+                replicas,
+            }
+        }
+        tag => return Err(WireError::Invalid(format!("message tag {tag}"))),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
+    use pgrid_core::key::DataId;
 
     fn entries(n: u64) -> Vec<DataEntry> {
         (0..n)
@@ -833,6 +770,20 @@ mod tests {
         assert!(Message::decode(buf.freeze()).is_none());
         // Truncated index.
         assert!(Message::decode(Bytes::from_static(&[7, 0])).is_none());
+    }
+
+    #[test]
+    fn deeply_nested_envelopes_are_rejected_without_recursion() {
+        // 600 KB of nested index envelopes, far below the frame bound:
+        // the decoder must reject the second envelope tag instead of
+        // descending into it (which overflowed the stack).
+        let nested: Vec<u8> = [7u8, 0, 1].repeat(200_000);
+        assert!(Message::decode(Bytes::from(nested)).is_none());
+        let mut traced = Vec::new();
+        for _ in 0..100_000 {
+            traced.extend_from_slice(&[10, 0, 0, 0, 0, 0, 0, 0, 1]);
+        }
+        assert!(Message::decode(Bytes::from(traced)).is_none());
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! series; help text and label values are escaped at encode time.
 
 use pgrid_core::histogram::LogHistogram;
+use pgrid_core::wire::{Reader, WireError, Writer, NO_CAP};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -326,159 +328,95 @@ impl MetricsRegistry {
     }
 
     /// Serialises the registry for the cluster control plane (workers
-    /// stream snapshots to the coordinator at each phase barrier).
+    /// stream snapshots to the coordinator at each phase barrier), in the
+    /// big-endian [`pgrid_core::wire`] form.
     pub fn encode_wire(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, self.families.len() as u32);
+        let mut w = Writer::default();
+        w.count(self.families.len());
         for (name, family) in &self.families {
-            put_str(&mut buf, name);
-            put_str(&mut buf, &family.help);
-            buf.push(match family.kind {
+            w.str(name);
+            w.str(&family.help);
+            w.u8(match family.kind {
                 MetricKind::Counter => 0,
                 MetricKind::Gauge => 1,
                 MetricKind::Histogram => 2,
             });
-            put_u32(&mut buf, family.series.len() as u32);
+            w.count(family.series.len());
             for (labels, value) in &family.series {
-                buf.push(labels.len() as u8);
+                w.u8(labels.len() as u8);
                 for (k, v) in labels {
-                    put_str(&mut buf, k);
-                    put_str(&mut buf, v);
+                    w.str(k);
+                    w.str(v);
                 }
                 match value {
-                    Value::Counter(v) => put_u64(&mut buf, *v),
-                    Value::Gauge(v) => put_u64(&mut buf, v.to_bits()),
-                    Value::Histogram(h) => {
-                        let sparse = h.sparse_buckets();
-                        put_u32(&mut buf, sparse.len() as u32);
-                        for (bucket, count) in sparse {
-                            put_u16(&mut buf, bucket);
-                            put_u64(&mut buf, count);
-                        }
-                        put_u64(&mut buf, h.sum());
-                        put_u64(&mut buf, h.max());
-                    }
+                    Value::Counter(v) => w.u64(*v),
+                    Value::Gauge(v) => w.f64(*v),
+                    Value::Histogram(h) => w.histogram(h),
                 }
             }
         }
-        buf
+        w.into_vec()
     }
 
     /// Decodes a registry produced by [`MetricsRegistry::encode_wire`].
-    pub fn decode_wire(buf: &[u8]) -> Result<Self, String> {
-        let mut at = 0usize;
+    pub fn decode_wire(buf: &[u8]) -> Result<Self, WireError> {
+        // Smallest family: empty name and help, kind, no series.
+        const FAMILY_MIN_BYTES: usize = 4 + 4 + 1 + 4;
+        // Smallest series: no labels, one 8-byte counter or gauge.
+        const SERIES_MIN_BYTES: usize = 1 + 8;
+        let mut r = Reader::new(buf);
         let mut reg = MetricsRegistry::new();
-        let n_families = get_u32(buf, &mut at)?;
+        let n_families = r.count(NO_CAP, FAMILY_MIN_BYTES)?;
         for _ in 0..n_families {
-            let name = get_str(buf, &mut at)?;
-            let help = get_str(buf, &mut at)?;
-            let kind = match get_u8(buf, &mut at)? {
+            let name = r.string(NO_CAP)?;
+            let help = r.string(NO_CAP)?;
+            let kind = match r.u8()? {
                 0 => MetricKind::Counter,
                 1 => MetricKind::Gauge,
                 2 => MetricKind::Histogram,
-                k => return Err(format!("unknown metric kind {k}")),
+                k => return Err(WireError::Invalid(format!("metric kind {k}"))),
             };
             if !valid_metric_name(&name) {
-                return Err(format!("invalid metric name on the wire: {name:?}"));
+                return Err(WireError::Invalid(format!("metric name {name:?}")));
             }
-            let n_series = get_u32(buf, &mut at)?;
-            let family = reg.families.entry(name).or_insert_with(|| Family {
-                help,
-                kind,
-                series: BTreeMap::new(),
-            });
+            let n_series = r.count(NO_CAP, SERIES_MIN_BYTES)?;
+            let family = match reg.families.entry(name) {
+                Entry::Vacant(slot) => slot.insert(Family {
+                    help,
+                    kind,
+                    series: BTreeMap::new(),
+                }),
+                // Encoders write each name once; a repeated one could mix
+                // kinds inside one family.
+                Entry::Occupied(slot) => {
+                    return Err(WireError::Invalid(format!(
+                        "duplicate family {:?}",
+                        slot.key()
+                    )))
+                }
+            };
             for _ in 0..n_series {
-                let n_labels = get_u8(buf, &mut at)?;
-                let mut labels = Vec::with_capacity(n_labels as usize);
+                let n_labels = r.u8()?;
+                let mut labels = Vec::new();
                 for _ in 0..n_labels {
-                    let k = get_str(buf, &mut at)?;
+                    let k = r.string(NO_CAP)?;
                     if !valid_label_name(&k) {
-                        return Err(format!("invalid label name on the wire: {k:?}"));
+                        return Err(WireError::Invalid(format!("label name {k:?}")));
                     }
-                    let v = get_str(buf, &mut at)?;
-                    labels.push((k, v));
+                    labels.push((k, r.string(NO_CAP)?));
                 }
                 labels.sort();
                 let value = match kind {
-                    MetricKind::Counter => Value::Counter(get_u64(buf, &mut at)?),
-                    MetricKind::Gauge => Value::Gauge(f64::from_bits(get_u64(buf, &mut at)?)),
-                    MetricKind::Histogram => {
-                        let n_buckets = get_u32(buf, &mut at)?;
-                        let mut sparse = Vec::with_capacity(n_buckets as usize);
-                        for _ in 0..n_buckets {
-                            let bucket = get_u16(buf, &mut at)?;
-                            let count = get_u64(buf, &mut at)?;
-                            sparse.push((bucket, count));
-                        }
-                        let sum = get_u64(buf, &mut at)?;
-                        let max = get_u64(buf, &mut at)?;
-                        Value::Histogram(LogHistogram::from_sparse(&sparse, sum, max))
-                    }
+                    MetricKind::Counter => Value::Counter(r.u64()?),
+                    MetricKind::Gauge => Value::Gauge(r.f64()?),
+                    MetricKind::Histogram => Value::Histogram(r.histogram()?),
                 };
                 family.series.insert(labels, value);
             }
         }
-        if at != buf.len() {
-            return Err(format!("{} trailing bytes after registry", buf.len() - at));
-        }
+        r.finish()?;
         Ok(reg)
     }
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_u8(buf: &[u8], at: &mut usize) -> Result<u8, String> {
-    let v = *buf.get(*at).ok_or("registry frame truncated (u8)")?;
-    *at += 1;
-    Ok(v)
-}
-
-fn get_u16(buf: &[u8], at: &mut usize) -> Result<u16, String> {
-    let bytes = buf
-        .get(*at..*at + 2)
-        .ok_or("registry frame truncated (u16)")?;
-    *at += 2;
-    Ok(u16::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_u32(buf: &[u8], at: &mut usize) -> Result<u32, String> {
-    let bytes = buf
-        .get(*at..*at + 4)
-        .ok_or("registry frame truncated (u32)")?;
-    *at += 4;
-    Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_u64(buf: &[u8], at: &mut usize) -> Result<u64, String> {
-    let bytes = buf
-        .get(*at..*at + 8)
-        .ok_or("registry frame truncated (u64)")?;
-    *at += 8;
-    Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn get_str(buf: &[u8], at: &mut usize) -> Result<String, String> {
-    let len = get_u32(buf, at)? as usize;
-    let bytes = buf
-        .get(*at..*at + len)
-        .ok_or("registry frame truncated (str)")?;
-    *at += len;
-    String::from_utf8(bytes.to_vec()).map_err(|e| format!("non-utf8 string on the wire: {e}"))
 }
 
 #[cfg(test)]
@@ -589,6 +527,66 @@ mod tests {
         let rebuilt = MetricsRegistry::decode_wire(&reg.encode_wire()).unwrap();
         assert_eq!(rebuilt, reg);
         assert_eq!(rebuilt.encode(), reg.encode());
+    }
+
+    /// One histogram family with one unlabelled series, cut off right
+    /// after the series' bucket count.
+    fn histogram_wire_prefix(n_buckets: u32) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.count(1);
+        w.str("pgrid_h_ms");
+        w.str("h");
+        w.u8(2);
+        w.count(1);
+        w.u8(0);
+        w.u32(n_buckets);
+        w.into_vec()
+    }
+
+    #[test]
+    fn wire_decode_rejects_a_huge_bucket_count_without_allocating() {
+        // Used to reach `Vec::with_capacity(u32::MAX)` and abort.  The
+        // padding keeps every count before the bucket count plausible.
+        let mut wire = histogram_wire_prefix(u32::MAX);
+        wire.extend_from_slice(&[0; 64]);
+        assert_eq!(
+            MetricsRegistry::decode_wire(&wire),
+            Err(WireError::Count(u32::MAX as u64))
+        );
+    }
+
+    #[test]
+    fn wire_decode_saturates_overflowing_bucket_counts() {
+        // Two wire buckets whose counts overflow a u64 when added.
+        let mut w = Writer::default();
+        w.raw(&histogram_wire_prefix(2));
+        for _ in 0..2 {
+            w.u16(4);
+            w.u64(u64::MAX);
+        }
+        w.u64(0);
+        w.u64(4);
+        let reg = MetricsRegistry::decode_wire(&w.into_vec()).unwrap();
+        assert!(reg
+            .encode()
+            .contains(&format!("pgrid_h_ms_count {}", u64::MAX)));
+    }
+
+    #[test]
+    fn wire_decode_rejects_a_repeated_family() {
+        let mut counter = MetricsRegistry::new();
+        counter.counter("pgrid_x", "x", &[], 1);
+        let mut gauge = MetricsRegistry::new();
+        gauge.gauge("pgrid_x", "x", &[], 1.0);
+        // Two families named `pgrid_x`, one a counter and one a gauge.
+        let mut w = Writer::default();
+        w.count(2);
+        w.raw(&counter.encode_wire()[4..]);
+        w.raw(&gauge.encode_wire()[4..]);
+        assert!(matches!(
+            MetricsRegistry::decode_wire(&w.into_vec()),
+            Err(WireError::Invalid(_))
+        ));
     }
 
     #[test]

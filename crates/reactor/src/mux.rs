@@ -8,20 +8,18 @@
 //! [u8 kind] [u64 dest_peer] [u32 len] [len bytes]     (big-endian)
 //! ```
 //!
-//! `kind` 0 is a raw frame exactly as [`pgrid_transport::frame::encode_frame`]
-//! produced it; `kind` 1 is the same frame RLE-compressed (see
-//! [`pgrid_transport::frame::FrameCodec`]) — only sent after the peer's
-//! hello advertised that it accepts compressed records.
+//! The only `kind` is 0: a raw frame exactly as
+//! [`pgrid_transport::frame::encode_frame`] produced it.  Any other kind is
+//! rejected as [`MuxError::BadKind`].
 //!
 //! Every connection opens with a 6-byte hello in each direction:
 //!
 //! ```text
-//! [b"PGRX"] [u8 version] [u8 flags]      flags bit 0: accepts RLE records
+//! [b"PGRX"] [u8 version] [u8 flags]      flags: reserved, sent as 0
 //! ```
 //!
-//! The hello is the negotiation channel the threaded TCP backend never had:
-//! compression is strictly opt-in per link, and a reactor with compression
-//! off interoperates with one that has it on (frames simply travel raw).
+//! The flags byte is ignored on receipt, so a peer that still sets a bit
+//! there interoperates unchanged.
 
 use bytes::Bytes;
 use pgrid_transport::frame::MAX_FRAME_BYTES;
@@ -35,14 +33,8 @@ pub const MUX_VERSION: u8 = 1;
 /// Hello length in bytes.
 pub const HELLO_LEN: usize = 6;
 
-/// Hello flag: the sender accepts RLE-compressed records.
-pub const FLAG_ACCEPT_RLE: u8 = 1;
-
 /// Record kind: raw frame bytes.
 pub const KIND_RAW: u8 = 0;
-
-/// Record kind: RLE-compressed frame bytes.
-pub const KIND_RLE: u8 = 1;
 
 /// Fixed record header length (`kind + dest + len`).
 pub const RECORD_HEADER: usize = 1 + 8 + 4;
@@ -73,21 +65,21 @@ impl std::fmt::Display for MuxError {
 
 impl std::error::Error for MuxError {}
 
-/// Builds the connection-opening hello.
-pub fn hello(accept_rle: bool) -> [u8; HELLO_LEN] {
-    let flags = if accept_rle { FLAG_ACCEPT_RLE } else { 0 };
+/// The connection-opening hello (flags 0).
+pub fn hello() -> [u8; HELLO_LEN] {
     [
         MUX_MAGIC[0],
         MUX_MAGIC[1],
         MUX_MAGIC[2],
         MUX_MAGIC[3],
         MUX_VERSION,
-        flags,
+        0,
     ]
 }
 
-/// Validates a received hello, returning its flags byte.
-pub fn parse_hello(bytes: &[u8]) -> Result<u8, MuxError> {
+/// Validates a received hello (magic and version; the flags byte is
+/// reserved and ignored).
+pub fn parse_hello(bytes: &[u8]) -> Result<(), MuxError> {
     debug_assert_eq!(bytes.len(), HELLO_LEN);
     if bytes[..4] != MUX_MAGIC {
         return Err(MuxError::BadMagic);
@@ -95,25 +87,25 @@ pub fn parse_hello(bytes: &[u8]) -> Result<u8, MuxError> {
     if bytes[4] != MUX_VERSION {
         return Err(MuxError::BadVersion(bytes[4]));
     }
-    Ok(bytes[5])
+    Ok(())
 }
 
-/// Appends one record to `out`.
-pub fn encode_record(out: &mut Vec<u8>, kind: u8, dest: u64, payload: &[u8]) {
+/// Appends one raw-frame record to `out`.
+pub fn encode_record(out: &mut Vec<u8>, dest: u64, payload: &[u8]) {
     out.reserve(RECORD_HEADER + payload.len());
-    out.push(kind);
+    out.push(KIND_RAW);
     out.extend_from_slice(&dest.to_be_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(payload);
 }
 
-/// One parsed record: kind, destination peer, payload bytes.
-pub type Record = (u8, u64, Bytes);
+/// One parsed record: destination peer, frame bytes.
+pub type Record = (u64, Bytes);
 
 /// Incremental record reassembly over a byte stream, including the hello.
 ///
 /// Feed received chunks with [`MuxReader::extend`]; call
-/// [`MuxReader::take_hello`] until it yields the peer's flags, then
+/// [`MuxReader::take_hello`] until it returns `true`, then
 /// [`MuxReader::next_record`] for each complete record.
 #[derive(Debug, Default)]
 pub struct MuxReader {
@@ -136,15 +128,15 @@ impl MuxReader {
         self.buf.len()
     }
 
-    /// Consumes the peer hello once its 6 bytes are buffered, returning the
-    /// flags byte; `None` while incomplete.
-    pub fn take_hello(&mut self) -> Result<Option<u8>, MuxError> {
+    /// Consumes the peer hello once its 6 bytes are buffered; `false`
+    /// while incomplete.
+    pub fn take_hello(&mut self) -> Result<bool, MuxError> {
         if self.buf.len() < HELLO_LEN {
-            return Ok(None);
+            return Ok(false);
         }
-        let flags = parse_hello(&self.buf[..HELLO_LEN])?;
+        parse_hello(&self.buf[..HELLO_LEN])?;
         self.buf.drain(..HELLO_LEN);
-        Ok(Some(flags))
+        Ok(true)
     }
 
     /// Returns the next complete record, `None` when more bytes are needed.
@@ -153,13 +145,11 @@ impl MuxReader {
             return Ok(None);
         }
         let kind = self.buf[0];
-        if kind != KIND_RAW && kind != KIND_RLE {
+        if kind != KIND_RAW {
             return Err(MuxError::BadKind(kind));
         }
         let dest = u64::from_be_bytes(self.buf[1..9].try_into().expect("8 bytes"));
         let len = u32::from_be_bytes(self.buf[9..13].try_into().expect("4 bytes")) as usize;
-        // A compressed payload is never larger than raw (the codec declines
-        // otherwise), so one bound covers both kinds.
         if len > MAX_FRAME_BYTES + 4 {
             return Err(MuxError::Oversized(len));
         }
@@ -170,7 +160,7 @@ impl MuxReader {
         let rest = self.buf.split_off(total);
         let mut record = std::mem::replace(&mut self.buf, rest);
         record.drain(..RECORD_HEADER);
-        Ok(Some((kind, dest, Bytes::from(record))))
+        Ok(Some((dest, Bytes::from(record))))
     }
 }
 
@@ -180,11 +170,11 @@ mod tests {
 
     #[test]
     fn hello_roundtrips_and_rejects_garbage() {
-        for accept in [false, true] {
-            let h = hello(accept);
-            let flags = parse_hello(&h).unwrap();
-            assert_eq!(flags & FLAG_ACCEPT_RLE != 0, accept);
-        }
+        let h = hello();
+        assert_eq!(h[5], 0, "flags are sent as 0");
+        assert_eq!(parse_hello(&h), Ok(()));
+        // A set flag bit (a peer that used to offer compression) is ignored.
+        assert_eq!(parse_hello(b"PGRX\x01\x01"), Ok(()));
         assert_eq!(parse_hello(b"PGRY\x01\x00"), Err(MuxError::BadMagic));
         assert_eq!(
             parse_hello(b"PGRX\x63\x00"),
@@ -194,24 +184,24 @@ mod tests {
 
     #[test]
     fn records_reassemble_at_every_chunk_size() {
-        let payloads: Vec<(u8, u64, Vec<u8>)> = vec![
-            (KIND_RAW, 0, vec![]),
-            (KIND_RAW, 42, vec![7u8; 300]),
-            (KIND_RLE, u64::MAX, (0..=255u8).collect()),
+        let payloads: Vec<(u64, Vec<u8>)> = vec![
+            (0, vec![]),
+            (42, vec![7u8; 300]),
+            (u64::MAX, (0..=255u8).collect()),
         ];
-        let mut stream: Vec<u8> = hello(true).to_vec();
-        for (kind, dest, payload) in &payloads {
-            encode_record(&mut stream, *kind, *dest, payload);
+        let mut stream: Vec<u8> = hello().to_vec();
+        for (dest, payload) in &payloads {
+            encode_record(&mut stream, *dest, payload);
         }
         for chunk_size in [1usize, 2, 5, 13, 64, stream.len()] {
             let mut reader = MuxReader::new();
-            let mut hello_flags = None;
+            let mut saw_hello = false;
             let mut got = Vec::new();
             for chunk in stream.chunks(chunk_size) {
                 reader.extend(chunk);
-                if hello_flags.is_none() {
-                    hello_flags = reader.take_hello().unwrap();
-                    if hello_flags.is_none() {
+                if !saw_hello {
+                    saw_hello = reader.take_hello().unwrap();
+                    if !saw_hello {
                         continue;
                     }
                 }
@@ -219,12 +209,9 @@ mod tests {
                     got.push(record);
                 }
             }
-            assert_eq!(hello_flags, Some(FLAG_ACCEPT_RLE), "chunks of {chunk_size}");
+            assert!(saw_hello, "chunks of {chunk_size}");
             assert_eq!(got.len(), payloads.len());
-            for ((kind, dest, payload), (got_kind, got_dest, got_payload)) in
-                payloads.iter().zip(&got)
-            {
-                assert_eq!(kind, got_kind);
+            for ((dest, payload), (got_dest, got_payload)) in payloads.iter().zip(&got) {
                 assert_eq!(dest, got_dest);
                 assert_eq!(payload.as_slice(), got_payload.as_slice());
             }
@@ -237,6 +224,12 @@ mod tests {
         let mut reader = MuxReader::new();
         reader.extend(&[9u8; RECORD_HEADER]);
         assert!(matches!(reader.next_record(), Err(MuxError::BadKind(9))));
+        // Kind 1 was the removed RLE-compressed record.
+        let mut reader = MuxReader::new();
+        let mut rle = vec![1u8];
+        rle.extend_from_slice(&[0u8; RECORD_HEADER - 1]);
+        reader.extend(&rle);
+        assert!(matches!(reader.next_record(), Err(MuxError::BadKind(1))));
         let mut reader = MuxReader::new();
         let mut huge = vec![KIND_RAW];
         huge.extend_from_slice(&0u64.to_be_bytes());

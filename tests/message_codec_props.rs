@@ -1,6 +1,7 @@
 //! Property tests for the wire codec and the transport framing: every
 //! message variant must survive encode → frame → (split) → deframe →
 //! decode, and malformed/truncated bytes must be rejected without panics.
+//! A golden-bytes test pins the exact encoding of every variant.
 
 use bytes::Bytes;
 use pgrid::core::key::{DataEntry, DataId, Key};
@@ -48,10 +49,13 @@ fn arbitrary_outcome(rng: &mut StdRng) -> ExchangeOutcome {
     }
 }
 
+/// Number of message shapes [`arbitrary_message`] cycles through.
+const VARIANTS: u8 = 13;
+
 /// One random message; `variant` cycles so every shape is exercised no
 /// matter what the seed draws.
 fn arbitrary_message(variant: u8, rng: &mut StdRng) -> Message {
-    match variant % 7 {
+    match variant % VARIANTS {
         0 => Message::Join {
             peer: PeerId(rng.gen()),
         },
@@ -79,12 +83,51 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> Message {
             key: Key(rng.gen()),
             hops: rng.gen_range(0..64),
         },
-        _ => Message::QueryResponse {
+        6 => Message::QueryResponse {
             id: rng.gen(),
             entries: arbitrary_entries(rng),
             hops: rng.gen_range(0..64),
             found: rng.gen_bool(0.5),
         },
+        7 => Message::RangeQuery {
+            origin: PeerId(rng.gen()),
+            id: rng.gen(),
+            lo: Key(rng.gen()),
+            hi: Key(rng.gen()),
+            cursor: Key(rng.gen()),
+            hops: rng.gen(),
+        },
+        8 => Message::RangeResponse {
+            id: rng.gen(),
+            from: Key(rng.gen()),
+            upto: Key(rng.gen()),
+            entries: arbitrary_entries(rng),
+            hops: rng.gen(),
+        },
+        9 => Message::ReplicaPull {
+            origin: PeerId(rng.gen()),
+        },
+        10 => Message::ReplicaPush {
+            path: arbitrary_path(rng),
+            entries: arbitrary_entries(rng),
+            routing: (0..rng.gen_range(0..8))
+                .map(|_| (rng.gen(), PeerId(rng.gen()), arbitrary_path(rng)))
+                .collect(),
+            replicas: (0..rng.gen_range(0..8))
+                .map(|_| PeerId(rng.gen()))
+                .collect(),
+        },
+        11 => Message::ForIndex {
+            index: rng.gen_range(1..=u16::MAX),
+            inner: Box::new(arbitrary_message(rng.gen_range(0..10), rng)),
+        },
+        _ => {
+            let inner = arbitrary_message(rng.gen_range(0..12), rng);
+            Message::Traced {
+                trace_id: rng.gen_range(1..=u64::MAX),
+                inner: Box::new(inner),
+            }
+        }
     }
 }
 
@@ -99,11 +142,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn every_message_variant_roundtrips(seed in any::<u64>(), variant in 0u8..7) {
+    fn every_message_variant_roundtrips(seed in any::<u64>(), variant in 0u8..VARIANTS) {
         let mut rng = StdRng::seed_from_u64(seed);
         let message = arbitrary_message(variant, &mut rng);
         let decoded = Message::decode(message.encode());
         prop_assert_eq!(decoded.as_ref(), Some(&message));
+    }
+
+    // Every strict prefix of a valid encoding is rejected: each one is
+    // missing at least its trailing field.
+    #[test]
+    fn truncated_messages_are_rejected(
+        seed in any::<u64>(),
+        variant in 0u8..VARIANTS,
+        cut in 0usize..4096,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let encoded = arbitrary_message(variant, &mut rng).encode();
+        let cut = cut % encoded.len();
+        let prefix = Bytes::from(&encoded.as_slice()[..cut]);
+        prop_assert!(Message::decode(prefix).is_none(), "prefix of length {} decoded", cut);
+    }
+
+    // The decoder is total: arbitrary bytes, and valid encodings with
+    // bytes overwritten deep inside, decode or fail but never panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_decoder(
+        data in proptest::collection::vec(any::<u8>(), 0..512),
+        seed in any::<u64>(),
+        variant in 0u8..VARIANTS,
+    ) {
+        let _ = Message::decode(Bytes::from(data.clone()));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wire = arbitrary_message(variant, &mut rng).encode().as_slice().to_vec();
+        for pair in data.chunks_exact(2).take(4) {
+            let at = pair[0] as usize % wire.len();
+            wire[at] = pair[1];
+        }
+        let _ = Message::decode(Bytes::from(wire));
     }
 
     #[test]
