@@ -1,8 +1,8 @@
 //! Query data-plane runner: sustained lookup throughput over the message
 //! runtime on loopback, with latency percentiles from the log-scale
-//! histogram, a route-cache before/after comparison, and a distribution
-//! shift folded in (p99 while the overlay re-balances live), emitted both
-//! as an aligned text table and as a `BENCH_queries.json` snapshot for CI
+//! histogram, the price of enabled tracing, and a distribution shift
+//! folded in (p99 while the overlay re-balances live), emitted both as an
+//! aligned text table and as a `BENCH_queries.json` snapshot for CI
 //! archival.
 //!
 //! ```text
@@ -12,14 +12,14 @@
 //!     --peers 192 --lookups 240000 --out BENCH_queries.json
 //! ```
 //!
-//! The same overlay (fixed seed) is driven twice — once with the per-peer
-//! routing cache off (`cold`) and once with it on (`warm`) — so the cache
-//! delta is measured against an identical trie.  The runner hard-asserts
-//! the production floor (≥ 1M routed lookups/min over ≥ 48k lookups) and
-//! the histogram-merge invariants (bucketwise additivity of the cold and
-//! warm latency histograms, the property the sharded cluster coordinator
-//! relies on) before writing the snapshot, so a published number can never
-//! come from a run that missed the bar.
+//! The same overlay (fixed seed) is driven twice — once with tracing off
+//! (`cold`) and once with it on (`traced`) — so the tracing delta is
+//! measured against an identical trie.  The runner hard-asserts the
+//! production floor (≥ 1M routed lookups/min over ≥ 48k lookups) and the
+//! histogram-merge invariants (bucketwise additivity of the cold and
+//! traced latency histograms, the property the sharded cluster
+//! coordinator relies on) before writing the snapshot, so a published
+//! number can never come from a run that missed the bar.
 
 use pgrid_core::histogram::LogHistogram;
 use pgrid_core::index::IndexId;
@@ -35,8 +35,8 @@ use std::time::Instant;
 /// resolve (multi-hop forwards plus response), far below the 20s timeout.
 const DRAIN_MS: u64 = 2_000;
 
-/// One measured query-load window (a cold or warm run, or the shift
-/// segment of the warm run).
+/// One measured query-load window (a cold or traced run, or the shift
+/// segment of the cold run).
 struct Window {
     label: &'static str,
     issued: u64,
@@ -54,21 +54,20 @@ struct Window {
     histogram: LogHistogram,
 }
 
-fn config(n_peers: usize, route_cache: bool) -> NetConfig {
+fn config(n_peers: usize) -> NetConfig {
     NetConfig {
         n_peers,
         keys_per_peer: 10,
         n_min: 5,
         distribution: Distribution::Uniform,
         seed: 9,
-        route_cache,
         ..NetConfig::default()
     }
 }
 
 /// Builds the overlay the load will run against (excluded from timing).
-fn build_runtime(n_peers: usize, route_cache: bool) -> Runtime {
-    let mut rt = Runtime::new(config(n_peers, route_cache));
+fn build_runtime(n_peers: usize) -> Runtime {
+    let mut rt = Runtime::new(config(n_peers));
     for peer in 0..n_peers {
         rt.join_peer(peer, 4);
     }
@@ -156,7 +155,7 @@ fn run_lookup_load(
 }
 
 /// The distribution-shift segment: inject a skewed (Pareto-1.0) key wave
-/// into the warm overlay, restart construction, and keep issuing lookups
+/// into the overlay, restart construction, and keep issuing lookups
 /// while the trie re-balances underneath them.  Returns the shift window
 /// and the virtual minutes construction needed to go quiescent again.
 fn run_shift_segment(rt: &mut Runtime, total: u64, batch: usize) -> (Window, f64) {
@@ -262,17 +261,11 @@ fn main() {
         "hops"
     );
 
-    // Cold: routing cache off (the reference configuration every other
-    // experiment runs with).
-    let mut cold_rt = build_runtime(n_peers, false);
+    // Cold: the reference configuration every other experiment runs
+    // with.
+    let mut cold_rt = build_runtime(n_peers);
     let (cold, _) = run_lookup_load(&mut cold_rt, "cold", total, batch);
     print_window(&cold);
-    drop(cold_rt);
-
-    // Warm: identical overlay, per-peer routing cache on.
-    let mut warm_rt = build_runtime(n_peers, true);
-    let (warm, _) = run_lookup_load(&mut warm_rt, "warm", total, batch);
-    print_window(&warm);
 
     // Traced: the cold configuration again, but with structured tracing
     // on — every lookup allocates a trace ID, rides a `Traced` envelope
@@ -280,7 +273,7 @@ fn main() {
     // of *enabled* tracing; `cold` itself runs with the tracer compiled
     // in but off, so its floor assertion below is the
     // tracing-disabled-overhead gate.
-    let mut traced_rt = build_runtime(n_peers, false);
+    let mut traced_rt = build_runtime(n_peers);
     traced_rt.enable_tracing();
     let (traced, _) = run_lookup_load(&mut traced_rt, "traced", total, batch);
     print_window(&traced);
@@ -299,20 +292,14 @@ fn main() {
     );
     drop(traced_rt);
 
-    // Shift: skewed key wave + live re-balance on the warm overlay.
+    // Shift: skewed key wave + live re-balance on the cold overlay.
     let shift_total = if quick { total / 4 } else { total / 2 };
-    let (shift, reconverge_min) = run_shift_segment(&mut warm_rt, shift_total.max(1_000), batch);
+    let (shift, reconverge_min) = run_shift_segment(&mut cold_rt, shift_total.max(1_000), batch);
     print_window(&shift);
     println!(
         "distribution shift: p99 {} ms during re-balance (baseline {} ms), \
          construction re-converged in {:.1} virtual min",
-        shift.p99_ms, warm.p99_ms, reconverge_min
-    );
-
-    let cache_speedup = warm.lookups_per_min / cold.lookups_per_min;
-    println!(
-        "route cache delta: {:.0} -> {:.0} lookups/min ({:.2}x), p50 {} -> {} ms",
-        cold.lookups_per_min, warm.lookups_per_min, cache_speedup, cold.p50_ms, warm.p50_ms
+        shift.p99_ms, cold.p99_ms, reconverge_min
     );
 
     // -- Hard gates: a snapshot is only written if every claim holds. ----
@@ -325,47 +312,39 @@ fn main() {
          {:.0} < {FLOOR_PER_MIN:.0} lookups/min",
         cold.lookups_per_min
     );
-    for w in [&cold, &warm] {
-        assert!(
-            w.answered * 100 >= w.issued * 95,
-            "{}: only {}/{} lookups answered — the load outran the drain windows",
-            w.label,
-            w.answered,
-            w.issued
-        );
-        assert!(
-            w.lookups_per_min >= FLOOR_PER_MIN,
-            "{}: {:.0} routed lookups/min is below the {FLOOR_PER_MIN:.0}/min floor",
-            w.label,
-            w.lookups_per_min
-        );
-    }
+    assert!(
+        cold.answered * 100 >= cold.issued * 95,
+        "cold: only {}/{} lookups answered — the load outran the drain windows",
+        cold.answered,
+        cold.issued
+    );
 
-    // Histogram-merge invariants: folding the cold window into the warm
+    // Histogram-merge invariants: folding the cold window into the traced
     // one must be exactly bucketwise addition — the property the cluster
     // coordinator depends on when it merges per-shard aggregates.
     let mut merged = cold.histogram.clone();
-    merged.merge(&warm.histogram);
+    merged.merge(&traced.histogram);
     assert_eq!(
         merged.total(),
-        cold.histogram.total() + warm.histogram.total(),
+        cold.histogram.total() + traced.histogram.total(),
         "histogram merge lost samples"
     );
     assert_eq!(
         merged.sum(),
-        cold.histogram.sum() + warm.histogram.sum(),
+        cold.histogram.sum() + traced.histogram.sum(),
         "histogram merge lost latency mass"
     );
     assert_eq!(
         merged.max(),
-        cold.histogram.max().max(warm.histogram.max()),
+        cold.histogram.max().max(traced.histogram.max()),
         "histogram merge lost the maximum"
     );
     let cold_buckets: BTreeMap<u16, u64> = cold.histogram.sparse_buckets().into_iter().collect();
-    let warm_buckets: BTreeMap<u16, u64> = warm.histogram.sparse_buckets().into_iter().collect();
+    let traced_buckets: BTreeMap<u16, u64> =
+        traced.histogram.sparse_buckets().into_iter().collect();
     for (bucket, count) in merged.sparse_buckets() {
         let expected = cold_buckets.get(&bucket).copied().unwrap_or(0)
-            + warm_buckets.get(&bucket).copied().unwrap_or(0);
+            + traced_buckets.get(&bucket).copied().unwrap_or(0);
         assert_eq!(
             count, expected,
             "bucket {bucket} is not additive under merge"
@@ -381,7 +360,6 @@ fn main() {
     json.push_str(&format!(
         "  \"throughput_floor_per_min\": {FLOOR_PER_MIN:.0},\n"
     ));
-    json.push_str(&format!("  \"route_cache_speedup\": {cache_speedup:.3},\n"));
     json.push_str(&format!(
         "  \"tracing_enabled_overhead\": {tracing_overhead:.3},\n"
     ));
@@ -389,7 +367,7 @@ fn main() {
         "  \"shift_reconverge_virtual_min\": {reconverge_min:.2},\n"
     ));
     json.push_str("  \"windows\": [\n");
-    let windows = [&cold, &warm, &traced, &shift];
+    let windows = [&cold, &traced, &shift];
     for (at, w) in windows.iter().enumerate() {
         json.push_str(&format!(
             "    {}{}\n",

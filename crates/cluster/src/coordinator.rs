@@ -1224,7 +1224,7 @@ fn merge_reports(
     // The ground-truth data assignment is a function of the seed; the
     // coordinator reproduces it exactly as every worker's runtime did.
     let mut rng = StdRng::seed_from_u64(cluster.net.seed);
-    let (_, original_entries) = generate_peers(&cluster.net, &mut rng);
+    let (_, original_entries) = generate_peers(&cluster.net, &cluster.net.distribution, &mut rng);
 
     let mut paths = last_paths.to_vec();
     paths.resize(cluster.net.n_peers, Path::root());

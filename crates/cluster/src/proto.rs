@@ -52,7 +52,10 @@ const MAGIC: u16 = 0x5047; // "PG"
 ///
 /// v8 drops the frame-compression counters from `Report` and carries the
 /// metrics registry snapshot in the big-endian [`pgrid_core::wire`] form.
-const VERSION: u8 = 8;
+///
+/// v9 drops the per-tick-batching and route-cache flags from the run
+/// config: batching is the only behaviour, and the route cache is gone.
+const VERSION: u8 = 9;
 
 /// Phases of the Section-5 timeline the cluster barriers on, in order.
 pub const PHASE_WIRED: u8 = 0;
@@ -752,8 +755,6 @@ fn put_config(w: &mut Writer, config: &NetConfig) {
             w.f64(exponent);
         }
     }
-    w.bool(config.batch_per_tick);
-    w.bool(config.route_cache);
     w.u64(config.query_sample_cap as u64);
     w.u64(config.recovery_retry_ms);
     w.u64(config.recovery_retry_max_ms);
@@ -789,8 +790,6 @@ fn get_config(r: &mut Reader<'_>) -> WireResult<NetConfig> {
             },
             tag => return Err(WireError::Invalid(format!("distribution {tag}"))),
         },
-        batch_per_tick: r.bool()?,
-        route_cache: r.bool()?,
         query_sample_cap: r.u64()? as usize,
         recovery_retry_ms: r.u64()?,
         recovery_retry_max_ms: r.u64()?,

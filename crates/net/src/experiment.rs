@@ -11,6 +11,7 @@
 use crate::runtime::{BandwidthSample, NetConfig, QueryAggregates, Runtime};
 use pgrid_core::balance::compare_to_reference;
 use pgrid_core::histogram::LogHistogram;
+use pgrid_core::index::IndexId;
 use pgrid_core::key::Key;
 use pgrid_core::path::Path;
 use pgrid_core::reference::{BalanceParams, ReferencePartitioning};
@@ -195,16 +196,6 @@ impl DeploymentReport {
         );
         self.transport.to_registry(registry);
     }
-
-    /// Renders the report's summary statistics plus its transport counters
-    /// in the Prometheus text exposition format (what `pgrid-cluster
-    /// --metrics-out` writes), through the shared
-    /// [`pgrid_obs::registry::MetricsRegistry`] encoder.
-    pub fn metrics_text(&self) -> String {
-        let mut registry = pgrid_obs::registry::MetricsRegistry::new();
-        self.to_registry(&mut registry);
-        registry.encode()
-    }
 }
 
 /// Runs the full deployment experiment over the deterministic loopback
@@ -269,7 +260,11 @@ fn drive_deployment<T: Transport>(
     );
 
     // --- Phase 4: queries -------------------------------------------------------
-    let keys: Vec<_> = runtime.original_entries.iter().map(|e| e.key).collect();
+    let keys: Vec<_> = runtime
+        .original_entries_of(IndexId::PRIMARY)
+        .iter()
+        .map(|e| e.key)
+        .collect();
     let query_end = timeline.query_end_min * minute;
     let churn_end = timeline.end_min * minute;
     // Each peer queries every 1–2 minutes, as in the paper.
@@ -361,8 +356,14 @@ impl ReportInputs {
         ReportInputs {
             n_peers: runtime.config.n_peers,
             params: runtime.params(),
-            original_keys: runtime.original_entries.iter().map(|e| e.key).collect(),
-            paths: runtime.nodes.iter().map(|n| n.state.path).collect(),
+            original_keys: runtime
+                .original_entries_of(IndexId::PRIMARY)
+                .iter()
+                .map(|e| e.key)
+                .collect(),
+            paths: (0..runtime.config.n_peers)
+                .map(|peer| runtime.peer_state(IndexId::PRIMARY, peer).path)
+                .collect(),
             queries: runtime.metrics.merged_stats(),
             bandwidth_per_minute: runtime.metrics.bandwidth_per_minute.clone(),
             online_at_end: runtime.online_count(),
@@ -532,7 +533,9 @@ mod tests {
     #[test]
     fn report_metrics_text_carries_summary_and_transport_series() {
         let report = small_report();
-        let text = report.metrics_text();
+        let mut registry = pgrid_obs::registry::MetricsRegistry::new();
+        report.to_registry(&mut registry);
+        let text = registry.encode();
         assert!(text.contains("# TYPE pgrid_deployment_balance_deviation gauge"));
         assert!(text.contains("pgrid_deployment_query_success_rate "));
         assert!(text.contains("pgrid_transport_frames_sent_total "));

@@ -31,11 +31,6 @@ pub mod experiment;
 pub mod message;
 pub mod runtime;
 
-/// Lower bound on the balanced-split probability.
-#[deprecated(note = "moved to pgrid_core::exchange::MIN_BALANCED_SPLIT_PROBABILITY")]
-pub const MIN_BALANCED_SPLIT_PROBABILITY: f64 =
-    pgrid_core::exchange::MIN_BALANCED_SPLIT_PROBABILITY;
-
 /// Convenient re-exports of the most frequently used items.
 ///
 /// The deployment *drivers* (`run_deployment`, `run_deployment_with`) are
@@ -47,7 +42,5 @@ pub mod prelude {
         assemble_report, DeploymentReport, MinuteSample, ReportInputs, Timeline,
     };
     pub use crate::message::{ExchangeOutcome, Message};
-    pub use crate::runtime::{
-        BandwidthSample, NetConfig, NetMetrics, Node, QueryRecord, Runtime, SecondaryIndex,
-    };
+    pub use crate::runtime::{BandwidthSample, NetConfig, NetMetrics, QueryRecord, Runtime};
 }

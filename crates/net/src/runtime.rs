@@ -7,8 +7,12 @@
 //! jitter, emulated loss, reproducible experiments); with the TCP backend
 //! the very same protocol code paths run over real sockets.  Messages sent
 //! to the same destination while one event is processed are batched into a
-//! single frame (the per-tick batching of exchange messages) unless
-//! [`NetConfig::batch_per_tick`] is disabled.
+//! single frame (the per-tick batching of exchange messages).
+//!
+//! Every P-Grid index the peers host — the primary one included — is one
+//! table of per-peer protocol state (path, store, routing table, replicas,
+//! construction bookkeeping); the peer itself only carries what all its
+//! indexes share: bootstrap contacts and liveness.
 
 use crate::message::{ExchangeOutcome, Message};
 use bytes::Bytes;
@@ -73,18 +77,6 @@ pub struct NetConfig {
     pub seed: u64,
     /// The key distribution.
     pub distribution: pgrid_workload::distributions::Distribution,
-    /// Whether messages to the same destination produced while one event is
-    /// processed are batched into a single frame (on by default; turning it
-    /// off sends every message as its own frame, the configuration the
-    /// transport bench compares against).
-    pub batch_per_tick: bool,
-    /// Whether peers memoise their prefix-routing resolution per
-    /// `(index, mismatch level)` on the query hot path.  Off by default:
-    /// the cache skips the per-hop random reference shuffle, which changes
-    /// the deployment's random trajectory (the Section-5 reference figures
-    /// are pinned to the uncached path).  The query bench reports the
-    /// before/after delta.
-    pub route_cache: bool,
     /// How many resolved query/range records are retained verbatim for
     /// debugging, per runtime.  Query statistics are always aggregated into
     /// [`QueryAggregates`] (bounded memory at any rate); the sample rings
@@ -117,8 +109,6 @@ impl Default for NetConfig {
                 vocabulary: 5_000,
                 exponent: 1.0,
             },
-            batch_per_tick: true,
-            route_cache: false,
             query_sample_cap: DEFAULT_QUERY_SAMPLE_CAP,
             recovery_retry_ms: 2_000,
             recovery_retry_max_ms: 16_000,
@@ -136,25 +126,94 @@ impl NetConfig {
     }
 }
 
-/// One peer of the deployment.
-#[derive(Clone, Debug)]
-pub struct Node {
-    /// Overlay state (path, store, routing table, replica list).
-    pub state: PeerState,
+/// One peer of the deployment, apart from its per-index protocol state.
+#[derive(Clone, Debug, Default)]
+struct Node {
     /// Unstructured-overlay neighbours (bootstrap contacts).
-    pub neighbours: Vec<PeerId>,
+    neighbours: Vec<PeerId>,
+    /// Whether the peer has joined the network at all.
+    joined: bool,
+    /// Whether the peer is online.  Only [`Runtime::set_online`] writes
+    /// it, mirroring it into every index's `PeerState::online`.
+    online: bool,
+}
+
+/// One peer's protocol state on one index: the paper's per-peer tuple
+/// (path, key store, routing table, replicas) plus construction
+/// bookkeeping.
+#[derive(Clone, Debug)]
+struct IndexPeer {
+    /// Overlay state (path, store, routing table, replica list).
+    state: PeerState,
     /// Whether the peer participates in construction ticks.
-    pub constructing: bool,
+    constructing: bool,
     /// Whether a construction tick is currently scheduled.  A tick firing
     /// while the peer is offline ends the chain (`tick_armed` drops to
     /// `false`, matching the paper's reference run, where a returning peer
     /// does not restart maintenance by itself); a later
     /// [`Runtime::start_construction_on`] re-arms dead chains.
-    pub tick_armed: bool,
+    tick_armed: bool,
     /// Consecutive fruitless exchanges.
-    pub fruitless: u32,
-    /// Whether the peer has joined the network at all.
-    pub joined: bool,
+    fruitless: u32,
+}
+
+/// One P-Grid index over the peer population.  The primary index is slot
+/// 0 of `Runtime::indexes`; registered indexes follow in registration
+/// order, stored the same way.
+#[derive(Clone, Debug)]
+struct IndexTable {
+    id: IndexId,
+    /// Per-peer state (index = peer id).
+    peers: Vec<IndexPeer>,
+    /// The ground-truth data assignment of this index.
+    original_entries: Vec<DataEntry>,
+}
+
+impl IndexTable {
+    /// Draws the index's data assignment (see [`generate_peers`]); every
+    /// peer starts offline, outside construction.
+    fn generate(
+        id: IndexId,
+        config: &NetConfig,
+        distribution: &Distribution,
+        rng: &mut StdRng,
+    ) -> IndexTable {
+        let (states, original_entries) = generate_peers(config, distribution, rng);
+        let peers = states
+            .into_iter()
+            .map(|state| IndexPeer {
+                state,
+                constructing: false,
+                tick_armed: false,
+                fruitless: 0,
+            })
+            .collect();
+        IndexTable {
+            id,
+            peers,
+            original_entries,
+        }
+    }
+}
+
+/// Position of `index` in the runtime's index tables.
+fn slot(indexes: &[IndexTable], index: IndexId) -> usize {
+    indexes
+        .iter()
+        .position(|table| table.id == index)
+        .expect("unregistered index")
+}
+
+/// `peer`'s state on `index`.  Free functions over the `indexes` field
+/// rather than methods, so callers can hold the result alongside
+/// `&mut self.rng`.
+fn index_peer(indexes: &[IndexTable], index: IndexId, peer: usize) -> &IndexPeer {
+    &indexes[slot(indexes, index)].peers[peer]
+}
+
+/// Mutable counterpart of [`index_peer`].
+fn index_peer_mut(indexes: &mut [IndexTable], index: IndexId, peer: usize) -> &mut IndexPeer {
+    &mut indexes[slot(indexes, index)].peers[peer]
 }
 
 /// Classified bandwidth counters for one time bucket.
@@ -360,7 +419,7 @@ pub struct NetMetrics {
     /// broken stream from ordinary loss.
     pub decode_failures: usize,
     /// Frames that carried more than one message (the per-tick batching at
-    /// work; always zero with [`NetConfig::batch_per_tick`] disabled).
+    /// work).
     pub multi_message_frames: usize,
     /// Links that entered the Suspect state (a send to the peer failed and
     /// the link backed off); always zero on virtual-time transports.
@@ -640,17 +699,6 @@ impl NetMetrics {
         }
     }
 
-    /// Renders the runtime counters in the Prometheus text exposition
-    /// format through the shared [`pgrid_obs::registry::MetricsRegistry`]
-    /// encoder (companion to
-    /// [`pgrid_transport::TransportStats::metrics_text`]), including the
-    /// query latency histogram and its p50/p99/p999 gauges.
-    pub fn metrics_text(&self) -> String {
-        let mut registry = pgrid_obs::registry::MetricsRegistry::new();
-        self.to_registry(&mut registry);
-        registry.encode()
-    }
-
     fn account(&mut self, now: Millis, message: &Message) {
         let bucket = now / 60_000;
         let entry = self.bandwidth_per_minute.entry(bucket).or_default();
@@ -761,179 +809,6 @@ struct RangeState {
 /// the range incomplete.
 const MAX_RANGE_RETRIES: u32 = 3;
 
-/// Overlay state of one *secondary* index hosted by the peer population.
-///
-/// The peer population, its liveness, its unstructured bootstrap overlay
-/// and its transport endpoints are owned by the primary index (the
-/// [`Node`] vector); a secondary index only adds the per-peer protocol
-/// state that is index-specific — path, store, routing table, replica
-/// list — plus its own construction bookkeeping and ground-truth data
-/// assignment.
-#[derive(Clone, Debug)]
-pub struct SecondaryIndex {
-    /// The index identifier (never [`IndexId::PRIMARY`]).
-    pub id: IndexId,
-    /// Per-peer overlay state of this index (index = peer id).  The
-    /// `online` flag of these states is unused: liveness is shared and
-    /// owned by the primary [`Node`]s.
-    pub states: Vec<PeerState>,
-    /// The ground-truth data assignment of this index.
-    pub original_entries: Vec<DataEntry>,
-    /// Whether each peer participates in construction ticks of this index.
-    constructing: Vec<bool>,
-    /// Whether each peer's tick chain is currently scheduled (see
-    /// [`Node::tick_armed`]).
-    tick_armed: Vec<bool>,
-    /// Consecutive fruitless exchanges per peer on this index.
-    fruitless: Vec<u32>,
-}
-
-/// Resolves the per-index peer state through disjoint field borrows, so a
-/// caller can mutate it while also holding `&mut rng` (the same split the
-/// single-index code achieved by naming `self.nodes[..]` directly).
-fn index_state_mut<'a>(
-    nodes: &'a mut [Node],
-    secondary: &'a mut [SecondaryIndex],
-    index: IndexId,
-    peer: usize,
-) -> &'a mut PeerState {
-    if index.is_primary() {
-        &mut nodes[peer].state
-    } else {
-        let slot = secondary
-            .iter_mut()
-            .find(|s| s.id == index)
-            .expect("unregistered index");
-        &mut slot.states[peer]
-    }
-}
-
-/// Immutable counterpart of [`index_state_mut`].
-fn index_state<'a>(
-    nodes: &'a [Node],
-    secondary: &'a [SecondaryIndex],
-    index: IndexId,
-    peer: usize,
-) -> &'a PeerState {
-    if index.is_primary() {
-        &nodes[peer].state
-    } else {
-        let slot = secondary
-            .iter()
-            .find(|s| s.id == index)
-            .expect("unregistered index");
-        &slot.states[peer]
-    }
-}
-
-/// Per-index fruitless-exchange counter of a peer.
-fn index_fruitless_mut<'a>(
-    nodes: &'a mut [Node],
-    secondary: &'a mut [SecondaryIndex],
-    index: IndexId,
-    peer: usize,
-) -> &'a mut u32 {
-    if index.is_primary() {
-        &mut nodes[peer].fruitless
-    } else {
-        let slot = secondary
-            .iter_mut()
-            .find(|s| s.id == index)
-            .expect("unregistered index");
-        &mut slot.fruitless[peer]
-    }
-}
-
-/// Read-only counterpart of [`index_fruitless_mut`].
-fn index_fruitless(
-    nodes: &[Node],
-    secondary: &[SecondaryIndex],
-    index: IndexId,
-    peer: usize,
-) -> u32 {
-    if index.is_primary() {
-        nodes[peer].fruitless
-    } else {
-        let slot = secondary
-            .iter()
-            .find(|s| s.id == index)
-            .expect("unregistered index");
-        slot.fruitless[peer]
-    }
-}
-
-/// Per-index constructing flag of a peer.
-fn index_constructing_mut<'a>(
-    nodes: &'a mut [Node],
-    secondary: &'a mut [SecondaryIndex],
-    index: IndexId,
-    peer: usize,
-) -> &'a mut bool {
-    if index.is_primary() {
-        &mut nodes[peer].constructing
-    } else {
-        let slot = secondary
-            .iter_mut()
-            .find(|s| s.id == index)
-            .expect("unregistered index");
-        &mut slot.constructing[peer]
-    }
-}
-
-/// Read-only counterpart of [`index_constructing_mut`].
-fn index_constructing(
-    nodes: &[Node],
-    secondary: &[SecondaryIndex],
-    index: IndexId,
-    peer: usize,
-) -> bool {
-    if index.is_primary() {
-        nodes[peer].constructing
-    } else {
-        let slot = secondary
-            .iter()
-            .find(|s| s.id == index)
-            .expect("unregistered index");
-        slot.constructing[peer]
-    }
-}
-
-/// Per-index tick-armed flag of a peer (see [`Node::tick_armed`]).
-fn index_tick_armed_mut<'a>(
-    nodes: &'a mut [Node],
-    secondary: &'a mut [SecondaryIndex],
-    index: IndexId,
-    peer: usize,
-) -> &'a mut bool {
-    if index.is_primary() {
-        &mut nodes[peer].tick_armed
-    } else {
-        let slot = secondary
-            .iter_mut()
-            .find(|s| s.id == index)
-            .expect("unregistered index");
-        &mut slot.tick_armed[peer]
-    }
-}
-
-/// Read-only counterpart of [`index_tick_armed_mut`].
-fn index_tick_armed(
-    nodes: &[Node],
-    secondary: &[SecondaryIndex],
-    index: IndexId,
-    peer: usize,
-) -> bool {
-    if index.is_primary() {
-        nodes[peer].tick_armed
-    } else {
-        let slot = secondary
-            .iter()
-            .find(|s| s.id == index)
-            .expect("unregistered index");
-        slot.tick_armed[peer]
-    }
-}
-
 struct Event {
     time: Millis,
     seq: u64,
@@ -1010,14 +885,12 @@ pub struct Runtime<T: Transport = LoopbackTransport> {
     /// Configuration.
     pub config: NetConfig,
     /// All peers (index = peer id).
-    pub nodes: Vec<Node>,
+    nodes: Vec<Node>,
     /// Collected metrics.
     pub metrics: NetMetrics,
-    /// The original entries assigned to peers (ground truth for queries).
-    pub original_entries: Vec<DataEntry>,
-    /// Secondary indexes hosted by the same peer population (empty unless
-    /// [`Runtime::register_index`] was called).
-    pub secondary: Vec<SecondaryIndex>,
+    /// Every hosted index: the primary at slot 0, then those added by
+    /// [`Runtime::register_index`] in registration order.
+    indexes: Vec<IndexTable>,
     engine: ExchangeEngine,
     transport: T,
     addrs: Vec<PeerAddr>,
@@ -1070,10 +943,6 @@ pub struct Runtime<T: Transport = LoopbackTransport> {
     /// join and liveness changes so the origin draw consumes the RNG
     /// identically to the uncached code.
     online_hosted: Vec<usize>,
-    /// Memoised prefix-routing resolution per `(peer, index, mismatch
-    /// level)`; only consulted with [`NetConfig::route_cache`] on, and
-    /// invalidated whenever a peer's path or routing table changes.
-    route_cache: HashMap<(usize, IndexId, usize), PeerId>,
     /// Structured tracing sink — disabled by default (enable with
     /// [`Runtime::enable_tracing`]).  Recording never consumes the RNG,
     /// and a disabled tracer hands out no trace IDs, so pinned seeds and
@@ -1110,38 +979,36 @@ impl Runtime<LoopbackTransport> {
     }
 }
 
-/// Generates every peer's initial state and the ground-truth entry list.
+/// Generates every peer's initial (offline) state of one index and the
+/// index's ground-truth entry list: `keys_per_peer` draws from
+/// `distribution` per peer, in peer order.
 ///
-/// This is the exact RNG consumption [`Runtime::with_transport`] performs
-/// during construction (`keys_per_peer` draws per peer, in peer order), so
-/// any component that needs the deployment's data assignment without a
-/// runtime — the cluster coordinator assembling a merged report, every
-/// cluster worker building the same stub population — reproduces it by
-/// seeding a [`StdRng`] with `config.seed` and calling this.
-pub fn generate_peers(config: &NetConfig, rng: &mut StdRng) -> (Vec<Node>, Vec<DataEntry>) {
-    let mut nodes = Vec::with_capacity(config.n_peers);
-    let mut original_entries = Vec::new();
+/// With `config.distribution` and a [`StdRng`] seeded with `config.seed`
+/// this is the exact RNG consumption [`Runtime::with_transport`] performs
+/// for the primary index, so any component that needs the deployment's
+/// data assignment without a runtime — the cluster coordinator assembling
+/// a merged report — reproduces it by calling this.
+pub fn generate_peers(
+    config: &NetConfig,
+    distribution: &Distribution,
+    rng: &mut StdRng,
+) -> (Vec<PeerState>, Vec<DataEntry>) {
+    let mut states = Vec::with_capacity(config.n_peers);
+    let mut original_entries = Vec::with_capacity(config.n_peers * config.keys_per_peer);
     for i in 0..config.n_peers {
         let mut state = PeerState::new(PeerId(i as u64), config.routing_fanout);
         for j in 0..config.keys_per_peer {
             let entry = DataEntry::new(
-                config.distribution.sample(rng),
-                pgrid_core::key::DataId((i * config.keys_per_peer + j) as u64),
+                distribution.sample(rng),
+                DataId((i * config.keys_per_peer + j) as u64),
             );
             state.store.insert(entry);
             original_entries.push(entry);
         }
         state.online = false;
-        nodes.push(Node {
-            state,
-            neighbours: Vec::new(),
-            constructing: false,
-            tick_armed: false,
-            fruitless: 0,
-            joined: false,
-        });
+        states.push(state);
     }
-    (nodes, original_entries)
+    (states, original_entries)
 }
 
 impl<T: Transport> Runtime<T> {
@@ -1169,7 +1036,9 @@ impl<T: Transport> Runtime<T> {
     ) -> Result<Runtime<T>, TransportError> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let params = config.balance_params();
-        let (nodes, original_entries) = generate_peers(&config, &mut rng);
+        let primary =
+            IndexTable::generate(IndexId::PRIMARY, &config, &config.distribution, &mut rng);
+        let nodes = vec![Node::default(); config.n_peers];
         let mut addrs = Vec::with_capacity(config.n_peers);
         for i in 0..config.n_peers {
             let peer = PeerId(i as u64);
@@ -1192,8 +1061,7 @@ impl<T: Transport> Runtime<T> {
             config,
             nodes,
             metrics,
-            original_entries,
-            secondary: Vec::new(),
+            indexes: vec![primary],
             engine: ExchangeEngine::new(params),
             transport,
             addrs,
@@ -1214,7 +1082,6 @@ impl<T: Transport> Runtime<T> {
             timeout_queue: VecDeque::new(),
             range_timeout_queue: VecDeque::new(),
             online_hosted: Vec::new(),
-            route_cache: HashMap::new(),
             tracer: Tracer::disabled(),
             recorder: FlightRecorder::default(),
             flight_dump: None,
@@ -1254,11 +1121,11 @@ impl<T: Transport> Runtime<T> {
 
     // ----- multi-index management --------------------------------------------
 
-    /// Registers a *secondary* index over the same peer population: every
+    /// Registers a further index over the same peer population: every
     /// peer receives `keys_per_peer` fresh keys drawn from `distribution`
     /// into a dedicated per-index overlay state (path, store, routing
     /// table), while liveness, bootstrap neighbours and the transport are
-    /// shared with the primary index.
+    /// shared with every other index.
     ///
     /// The assignment is drawn from a dedicated RNG stream derived from
     /// the seed and the index id, so registering an index never perturbs
@@ -1267,70 +1134,36 @@ impl<T: Transport> Runtime<T> {
     ///
     /// # Panics
     ///
-    /// Panics when `id` is the (implicit) primary index or already
-    /// registered.
+    /// Panics when `id` is already hosted (the primary index always is).
     pub fn register_index(&mut self, id: IndexId, distribution: &Distribution) {
-        assert!(
-            !id.is_primary(),
-            "the primary index is implicit and cannot be registered"
-        );
         assert!(!self.has_index_state(id), "{id} is already registered");
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x1DE0 ^ ((id.0 as u64) << 20));
-        let n = self.config.n_peers;
-        let mut states = Vec::with_capacity(n);
-        let mut original_entries = Vec::with_capacity(n * self.config.keys_per_peer);
-        for i in 0..n {
-            let mut state = PeerState::new(PeerId(i as u64), self.config.routing_fanout);
-            for j in 0..self.config.keys_per_peer {
-                let entry = DataEntry::new(
-                    distribution.sample(&mut rng),
-                    DataId((i * self.config.keys_per_peer + j) as u64),
-                );
-                state.store.insert(entry);
-                original_entries.push(entry);
-            }
-            states.push(state);
+        let mut table = IndexTable::generate(id, &self.config, distribution, &mut rng);
+        for (at, node) in table.peers.iter_mut().zip(&self.nodes) {
+            at.state.online = node.online;
         }
-        self.secondary.push(SecondaryIndex {
-            id,
-            states,
-            original_entries,
-            constructing: vec![false; n],
-            tick_armed: vec![false; n],
-            fruitless: vec![0; n],
-        });
+        self.indexes.push(table);
     }
 
     /// Whether `index` is hosted by this runtime (the primary index always
     /// is).
     pub fn has_index_state(&self, index: IndexId) -> bool {
-        index.is_primary() || self.secondary.iter().any(|s| s.id == index)
+        self.indexes.iter().any(|table| table.id == index)
     }
 
-    /// All hosted index ids, primary first.
+    /// All hosted index ids, primary first, then in registration order.
     pub fn index_ids(&self) -> Vec<IndexId> {
-        let mut ids = vec![IndexId::PRIMARY];
-        ids.extend(self.secondary.iter().map(|s| s.id));
-        ids
+        self.indexes.iter().map(|table| table.id).collect()
     }
 
     /// The ground-truth data assignment of an index.
     pub fn original_entries_of(&self, index: IndexId) -> &[DataEntry] {
-        if index.is_primary() {
-            &self.original_entries
-        } else {
-            let slot = self
-                .secondary
-                .iter()
-                .find(|s| s.id == index)
-                .expect("unregistered index");
-            &slot.original_entries
-        }
+        &self.indexes[slot(&self.indexes, index)].original_entries
     }
 
     /// The overlay state of `peer` on `index`.
     pub fn peer_state(&self, index: IndexId, peer: usize) -> &PeerState {
-        index_state(&self.nodes, &self.secondary, index, peer)
+        &index_peer(&self.indexes, index, peer).state
     }
 
     /// Assigns fresh `keys` to `peer` on `index`: the entries extend the
@@ -1340,26 +1173,13 @@ impl<T: Transport> Runtime<T> {
     /// shift workload).
     pub fn insert_entries(&mut self, index: IndexId, peer: usize, keys: Vec<Key>) {
         let hosted = self.hosted(peer);
+        let at = slot(&self.indexes, index);
+        let table = &mut self.indexes[at];
         for key in keys {
-            let entry = {
-                let originals = if index.is_primary() {
-                    &mut self.original_entries
-                } else {
-                    let slot = self
-                        .secondary
-                        .iter_mut()
-                        .find(|s| s.id == index)
-                        .expect("unregistered index");
-                    &mut slot.original_entries
-                };
-                let entry = DataEntry::new(key, DataId(originals.len() as u64));
-                originals.push(entry);
-                entry
-            };
+            let entry = DataEntry::new(key, DataId(table.original_entries.len() as u64));
+            table.original_entries.push(entry);
             if hosted {
-                index_state_mut(&mut self.nodes, &mut self.secondary, index, peer)
-                    .store
-                    .insert(entry);
+                table.peers[peer].state.store.insert(entry);
             }
         }
     }
@@ -1372,19 +1192,16 @@ impl<T: Transport> Runtime<T> {
     /// nothing until re-armed.  `true` when no peer is constructing at
     /// all.
     pub fn construction_quiescent(&self) -> bool {
-        for index in self.index_ids() {
+        for table in &self.indexes {
             for peer in self.hosted_peers() {
-                if !self.nodes[peer].joined || !self.nodes[peer].state.online {
+                if !self.nodes[peer].joined || !self.nodes[peer].online {
                     continue;
                 }
-                if !index_constructing(&self.nodes, &self.secondary, index, peer)
-                    || !index_tick_armed(&self.nodes, &self.secondary, index, peer)
-                {
+                let at = &table.peers[peer];
+                if !at.constructing || !at.tick_armed {
                     continue;
                 }
-                let fruitless = index_fruitless(&self.nodes, &self.secondary, index, peer);
-                let state = index_state(&self.nodes, &self.secondary, index, peer);
-                if fruitless < 4 || self.engine.locally_overloaded(state) {
+                if at.fruitless < 4 || self.engine.locally_overloaded(&at.state) {
                     return false;
                 }
             }
@@ -1399,10 +1216,7 @@ impl<T: Transport> Runtime<T> {
 
     /// Number of peers currently online.
     pub fn online_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.joined && n.state.online)
-            .count()
+        self.nodes.iter().filter(|n| n.joined && n.online).count()
     }
 
     /// The transport address of a peer.
@@ -1432,7 +1246,7 @@ impl<T: Transport> Runtime<T> {
     /// Number of hosted peers currently online.
     pub fn hosted_online_count(&self) -> usize {
         self.hosted_peers()
-            .filter(|&i| self.nodes[i].joined && self.nodes[i].state.online)
+            .filter(|&i| self.nodes[i].joined && self.nodes[i].online)
             .count()
     }
 
@@ -1500,9 +1314,10 @@ impl<T: Transport> Runtime<T> {
         }
         self.metrics.peers_adopted += 1;
         self.link_health.remove(&peer);
-        self.nodes[peer].state.online = false;
-        self.nodes[peer].tick_armed = false;
-        self.rebuild_online_cache();
+        for table in &mut self.indexes {
+            table.peers[peer].tick_armed = false;
+        }
+        self.set_online(peer, false);
         self.recorder
             .note(self.now, "recovery", format!("adopted peer {peer}"));
     }
@@ -1544,8 +1359,8 @@ impl<T: Transport> Runtime<T> {
     /// Restores a hosted peer from a durability-log image (the warm
     /// restart path): exact path, entries, routing references and replica
     /// set, brought online immediately — no replica pull.  With
-    /// `constructing` the peer's maintenance tick chain is re-armed, as
-    /// [`Runtime::start_construction_on`] would.
+    /// `constructing` the peer's maintenance tick chain on `index` is
+    /// re-armed, as [`Runtime::start_construction_on`] would.
     #[allow(clippy::too_many_arguments)]
     pub fn restore_peer(
         &mut self,
@@ -1571,32 +1386,17 @@ impl<T: Transport> Runtime<T> {
             );
         }
         let path_len = path.len();
-        let state = index_state_mut(&mut self.nodes, &mut self.secondary, index, peer);
+        let state = &mut index_peer_mut(&mut self.indexes, index, peer).state;
         state.path = path;
         state.store = KeyStore::from_entries(entries);
         state.routing = table;
         state.replicas = replicas;
         state.replicas.retain(|p| p.0 as usize != peer);
-        if index.is_primary() {
-            self.nodes[peer].joined = true;
-            self.nodes[peer].state.online = true;
-            self.rebuild_online_cache();
-        }
-        self.invalidate_route_cache(peer, index);
+        self.nodes[peer].joined = true;
+        self.set_online(peer, true);
         self.metrics.peers_recovered_warm += 1;
-        if constructing && !self.nodes[peer].tick_armed {
-            self.nodes[peer].tick_armed = true;
-            self.nodes[peer].constructing = true;
-            let jitter = self
-                .rng
-                .gen_range(0..self.config.construct_interval_ms.max(1));
-            self.schedule(
-                self.now + jitter,
-                EventKind::ConstructTick {
-                    index: IndexId::PRIMARY,
-                    peer,
-                },
-            );
+        if constructing {
+            self.arm_construction(index, peer);
         }
         self.recorder.note(
             self.now,
@@ -1646,18 +1446,12 @@ impl<T: Transport> Runtime<T> {
     /// storage with the live peer (`Arc`-backed) until either side
     /// mutates, so this is O(1) per peer, not O(entries).
     pub fn capture_primary_stores(&self) -> Vec<(usize, KeyStore)> {
+        let primary = &self.indexes[0].peers;
         let mut out: Vec<(usize, KeyStore)> = self
-            .shard
-            .clone()
-            .map(|p| (p, self.nodes[p].state.store.clone()))
+            .hosted_peers()
+            .map(|p| (p, primary[p].state.store.clone()))
             .collect();
-        out.extend(
-            self.adopted
-                .iter()
-                .map(|&p| (p, self.nodes[p].state.store.clone())),
-        );
         out.sort_unstable_by_key(|&(p, _)| p);
-        out.dedup_by_key(|&mut (p, _)| p);
         out
     }
 
@@ -1677,8 +1471,12 @@ impl<T: Transport> Runtime<T> {
     pub fn find_replica_source(&self, peer: usize) -> Option<usize> {
         let target = PeerId(peer as u64);
         self.hosted_peers()
-            .filter(|&p| p != peer && self.nodes[p].joined && self.nodes[p].state.online)
-            .find(|&p| self.nodes[p].state.replicas.contains(&target))
+            .filter(|&p| p != peer && self.nodes[p].joined && self.nodes[p].online)
+            .find(|&p| {
+                self.peer_state(IndexId::PRIMARY, p)
+                    .replicas
+                    .contains(&target)
+            })
     }
 
     /// Fallback recovery without a live replica: the peer keeps its
@@ -1689,14 +1487,13 @@ impl<T: Transport> Runtime<T> {
     pub fn recover_locally(&mut self, peer: usize, path: Path) {
         self.recovering.remove(&peer);
         self.metrics.peers_recovered_local += 1;
-        self.nodes[peer].state.path = path;
+        index_peer_mut(&mut self.indexes, IndexId::PRIMARY, peer)
+            .state
+            .path = path;
         self.recorder.note(
             self.now,
             "recovery",
-            format!(
-                "peer {peer} recovered locally (path len {})",
-                self.nodes[peer].state.path.len()
-            ),
+            format!("peer {peer} recovered locally (path len {})", path.len()),
         );
         self.finish_recovery(peer);
     }
@@ -1728,8 +1525,7 @@ impl<T: Transport> Runtime<T> {
     }
 
     /// Queues a message for the next frame to `to`: accounts its bandwidth
-    /// and either batches it until the current event finishes or (with
-    /// batching disabled) flushes it as a single-message frame right away.
+    /// and batches it until the current event finishes.
     ///
     /// Query traffic sent while handling a traced lookup is wrapped in a
     /// [`Message::Traced`] envelope carrying the trace ID to the next
@@ -1748,12 +1544,6 @@ impl<T: Transport> Runtime<T> {
         self.metrics.account(self.now, &message);
         self.pending.entry(to).or_default().push(message);
         self.pending_from.entry(to).or_insert(self.current_actor);
-        if !self.config.batch_per_tick {
-            if let Some(messages) = self.pending.remove(&to) {
-                let from = self.pending_from.remove(&to).unwrap_or(to);
-                self.flush_frame(from, to, messages);
-            }
-        }
     }
 
     /// Flushes every per-destination batch as one frame each.
@@ -1927,7 +1717,7 @@ impl<T: Transport> Runtime<T> {
             };
             // A replica snapshot is what brings a recovering peer back
             // online, so it must reach the peer while it is still offline.
-            if !self.nodes[to].state.online && !matches!(message, Message::ReplicaPush { .. }) {
+            if !self.nodes[to].online && !matches!(message, Message::ReplicaPush { .. }) {
                 self.metrics.messages_to_offline += 1;
                 continue;
             }
@@ -1943,15 +1733,11 @@ impl<T: Transport> Runtime<T> {
     /// peers (its unstructured-overlay neighbours), as the bootstrap phase of
     /// Section 5.1 does.
     pub fn join_peer(&mut self, peer: usize, fanout: usize) {
-        let online: Vec<PeerId> = self
-            .nodes
-            .iter()
-            .filter(|n| n.joined && n.state.online)
-            .map(|n| n.state.id)
+        let online: Vec<PeerId> = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].joined && self.nodes[i].online)
+            .map(|i| PeerId(i as u64))
             .collect();
-        let node = &mut self.nodes[peer];
-        node.joined = true;
-        node.state.online = true;
+        self.nodes[peer].joined = true;
         let mut neighbours = online;
         neighbours.shuffle(&mut self.rng);
         neighbours.truncate(fanout);
@@ -1975,7 +1761,7 @@ impl<T: Transport> Runtime<T> {
                 self.nodes[other].neighbours.push(PeerId(peer as u64));
             }
         }
-        self.rebuild_online_cache();
+        self.set_online(peer, true);
     }
 
     /// Brings a peer online with a pre-computed neighbour list instead of a
@@ -1989,9 +1775,7 @@ impl<T: Transport> Runtime<T> {
     /// routing read.  Join handshake bandwidth is only accounted by the
     /// process hosting the joiner.
     pub fn join_peer_with_neighbours(&mut self, peer: usize, neighbours: Vec<PeerId>) {
-        let node = &mut self.nodes[peer];
-        node.joined = true;
-        node.state.online = true;
+        self.nodes[peer].joined = true;
         if self.hosted(peer) && !neighbours.is_empty() {
             let join = Message::Join {
                 peer: PeerId(peer as u64),
@@ -2011,7 +1795,7 @@ impl<T: Transport> Runtime<T> {
                 self.nodes[other].neighbours.push(PeerId(peer as u64));
             }
         }
-        self.rebuild_online_cache();
+        self.set_online(peer, true);
     }
 
     /// Replicates every online peer's original entries to `n_min` random
@@ -2031,15 +1815,12 @@ impl<T: Transport> Runtime<T> {
         let n_min = self.config.n_min;
         let hosted: Vec<usize> = self.hosted_peers().collect();
         for peer in hosted {
-            if !self.nodes[peer].state.online {
+            if !self.nodes[peer].online {
                 continue;
             }
             self.current_actor = peer;
-            let entries: Vec<DataEntry> = index_state(&self.nodes, &self.secondary, index, peer)
-                .store
-                .iter()
-                .copied()
-                .collect();
+            let entries: Vec<DataEntry> =
+                self.peer_state(index, peer).store.iter().copied().collect();
             for _ in 0..n_min {
                 if let Some(target) = self.random_contact(peer) {
                     self.send_on(
@@ -2078,19 +1859,26 @@ impl<T: Transport> Runtime<T> {
         );
         let hosted: Vec<usize> = self.hosted_peers().collect();
         for peer in hosted {
-            if self.nodes[peer].state.online {
-                let armed = index_tick_armed_mut(&mut self.nodes, &mut self.secondary, index, peer);
-                if *armed {
-                    continue;
-                }
-                *armed = true;
-                *index_constructing_mut(&mut self.nodes, &mut self.secondary, index, peer) = true;
-                let jitter = self
-                    .rng
-                    .gen_range(0..self.config.construct_interval_ms.max(1));
-                self.schedule(self.now + jitter, EventKind::ConstructTick { index, peer });
+            if self.nodes[peer].online {
+                self.arm_construction(index, peer);
             }
         }
+    }
+
+    /// Arms `peer`'s construction tick chain on `index` with a random
+    /// first-tick jitter; a no-op while the chain is still scheduled
+    /// (re-arming would double its tick rate).
+    fn arm_construction(&mut self, index: IndexId, peer: usize) {
+        let at = index_peer_mut(&mut self.indexes, index, peer);
+        if at.tick_armed {
+            return;
+        }
+        at.tick_armed = true;
+        at.constructing = true;
+        let jitter = self
+            .rng
+            .gen_range(0..self.config.construct_interval_ms.max(1));
+        self.schedule(self.now + jitter, EventKind::ConstructTick { index, peer });
     }
 
     /// Issues a lookup for `key` from a random hosted online peer (the
@@ -2320,30 +2108,35 @@ impl<T: Transport> Runtime<T> {
         match kind {
             EventKind::ConstructTick { index, peer } => self.construct_tick(index, peer),
             EventKind::GoOffline { peer } => {
-                self.nodes[peer].state.online = false;
+                self.set_online(peer, false);
                 self.recorder
                     .note(self.now, "churn", format!("peer {peer} went offline"));
-                self.rebuild_online_cache();
             }
             EventKind::GoOnline { peer } => {
                 if self.nodes[peer].joined {
-                    self.nodes[peer].state.online = true;
+                    self.set_online(peer, true);
                 }
                 self.recorder
                     .note(self.now, "churn", format!("peer {peer} came back online"));
-                self.rebuild_online_cache();
             }
         }
     }
 
-    /// Recomputes the cached list of hosted online peers (ascending, the
-    /// exact filter the per-query scan used to apply).  Adopted peers sort
-    /// into place; without adoptions the shard range is already ascending
-    /// and the sort is a no-op, so the origin draws are unchanged.
-    fn rebuild_online_cache(&mut self) {
+    /// Sets `peer`'s liveness — the one place it is written.  Every
+    /// index's `PeerState::online` mirrors it (what `pgrid_core::search`
+    /// reads through [`Runtime::peer_state`]), and the cached list of
+    /// hosted online peers is recomputed (ascending, the exact filter the
+    /// per-query scan used to apply; adopted peers sort into place, and
+    /// without adoptions the sort is a no-op, so origin draws are
+    /// unchanged).
+    fn set_online(&mut self, peer: usize, online: bool) {
+        self.nodes[peer].online = online;
+        for table in &mut self.indexes {
+            table.peers[peer].state.online = online;
+        }
         self.online_hosted = self
             .hosted_peers()
-            .filter(|&i| self.nodes[i].joined && self.nodes[i].state.online)
+            .filter(|&i| self.nodes[i].joined && self.nodes[i].online)
             .collect();
         self.online_hosted.sort_unstable();
     }
@@ -2525,7 +2318,8 @@ impl<T: Transport> Runtime<T> {
                 // messages only exist for bandwidth accounting.
             }
             Message::Replicate { entries } => {
-                index_state_mut(&mut self.nodes, &mut self.secondary, index, to)
+                index_peer_mut(&mut self.indexes, index, to)
+                    .state
                     .store
                     .merge_from(entries);
             }
@@ -2560,9 +2354,6 @@ impl<T: Transport> Runtime<T> {
                         outcome: reply,
                     },
                 );
-                // An exchange may have changed this peer's path or routing
-                // table; drop its memoised routing resolutions.
-                self.invalidate_route_cache(to, index);
             }
             Message::ExchangeReply {
                 from,
@@ -2570,7 +2361,6 @@ impl<T: Transport> Runtime<T> {
                 outcome,
             } => {
                 self.apply_exchange_reply(index, to, from, path, outcome);
-                self.invalidate_route_cache(to, index);
             }
             Message::Query {
                 origin,
@@ -2694,7 +2484,7 @@ impl<T: Transport> Runtime<T> {
                 // path, every stored entry, the routing table, and the
                 // replica set — the paper's replication factor is exactly
                 // what makes this answer possible.
-                let state = index_state(&self.nodes, &self.secondary, index, to);
+                let state = self.peer_state(index, to);
                 let path = state.path;
                 let entries: Vec<DataEntry> = state.store.iter().copied().collect();
                 let routing: Vec<(u8, PeerId, Path)> = state
@@ -2707,7 +2497,7 @@ impl<T: Transport> Runtime<T> {
                 replicas.push(PeerId(to as u64));
                 // The recovering peer becomes another replica of this
                 // partition.
-                let state = index_state_mut(&mut self.nodes, &mut self.secondary, index, to);
+                let state = &mut index_peer_mut(&mut self.indexes, index, to).state;
                 if !state.replicas.contains(&origin) {
                     state.replicas.push(origin);
                 }
@@ -2771,7 +2561,7 @@ impl<T: Transport> Runtime<T> {
                 &mut self.rng,
             );
         }
-        let state = index_state_mut(&mut self.nodes, &mut self.secondary, index, to);
+        let state = &mut index_peer_mut(&mut self.indexes, index, to).state;
         state.path = path;
         state.store = KeyStore::from_entries(entries);
         state.routing = table;
@@ -2813,10 +2603,10 @@ impl<T: Transport> Runtime<T> {
         replicas: Vec<PeerId>,
     ) {
         let fanout = self.config.routing_fanout;
-        let own_path = index_state(&self.nodes, &self.secondary, index, to).path;
+        let own_path = self.peer_state(index, to).path;
         let merged = if own_path == path {
             let mut table = std::mem::replace(
-                &mut index_state_mut(&mut self.nodes, &mut self.secondary, index, to).routing,
+                &mut index_peer_mut(&mut self.indexes, index, to).state.routing,
                 pgrid_core::routing::RoutingTable::new(fanout),
             );
             for (level, peer, rpath) in routing {
@@ -2825,7 +2615,7 @@ impl<T: Transport> Runtime<T> {
                     table.add(level, RoutingEntry { peer, path: rpath }, &mut self.rng);
                 }
             }
-            let state = index_state_mut(&mut self.nodes, &mut self.secondary, index, to);
+            let state = &mut index_peer_mut(&mut self.indexes, index, to).state;
             state.routing = table;
             for r in replicas {
                 if r.0 as usize != to && !state.replicas.contains(&r) {
@@ -2842,7 +2632,7 @@ impl<T: Transport> Runtime<T> {
                     &mut self.rng,
                 );
             }
-            let state = index_state_mut(&mut self.nodes, &mut self.secondary, index, to);
+            let state = &mut index_peer_mut(&mut self.indexes, index, to).state;
             let old = state.store.drain();
             state.path = path;
             state.routing = table;
@@ -2855,7 +2645,6 @@ impl<T: Transport> Runtime<T> {
         self.reconciling.remove(&to);
         self.metrics.peers_reconciled += 1;
         self.metrics.reconciled_entries += merged;
-        self.invalidate_route_cache(to, index);
         self.tracer.record(
             AMBIENT_TRACE,
             "replica_reconciled",
@@ -2870,32 +2659,20 @@ impl<T: Transport> Runtime<T> {
         );
     }
 
-    /// Brings a recovered peer back into service: joined + online, cache
-    /// rebuilt, route-cache entries invalidated, and — when construction
-    /// is still running on this index population — a re-armed tick chain
-    /// so the peer keeps participating in the exchange protocol.
+    /// Brings a recovered peer back into service: joined + online, and —
+    /// when construction is still running on the primary index — a
+    /// re-armed tick chain so the peer keeps participating in the exchange
+    /// protocol.
     fn finish_recovery(&mut self, peer: usize) {
         self.nodes[peer].joined = true;
-        self.nodes[peer].state.online = true;
-        self.rebuild_online_cache();
-        self.invalidate_route_cache(peer, IndexId::PRIMARY);
+        self.set_online(peer, true);
+        let primary = &self.indexes[0].peers;
         let construction_live = self
             .shard
             .clone()
-            .any(|p| self.nodes[p].constructing && self.nodes[p].tick_armed);
-        if construction_live && !self.nodes[peer].tick_armed {
-            self.nodes[peer].tick_armed = true;
-            self.nodes[peer].constructing = true;
-            let jitter = self
-                .rng
-                .gen_range(0..self.config.construct_interval_ms.max(1));
-            self.schedule(
-                self.now + jitter,
-                EventKind::ConstructTick {
-                    index: IndexId::PRIMARY,
-                    peer,
-                },
-            );
+            .any(|p| primary[p].constructing && primary[p].tick_armed);
+        if construction_live {
+            self.arm_construction(IndexId::PRIMARY, peer);
         }
     }
 
@@ -2903,11 +2680,11 @@ impl<T: Transport> Runtime<T> {
 
     fn construct_tick(&mut self, index: IndexId, peer: usize) {
         self.current_actor = peer;
-        let constructing = index_constructing(&self.nodes, &self.secondary, index, peer);
-        if !self.nodes[peer].state.online || !constructing {
+        let at = index_peer(&self.indexes, index, peer);
+        if !self.nodes[peer].online || !at.constructing {
             // The chain ends here (no reschedule, as in the paper's
             // reference run); `start_construction_on` can re-arm it.
-            *index_tick_armed_mut(&mut self.nodes, &mut self.secondary, index, peer) = false;
+            index_peer_mut(&mut self.indexes, index, peer).tick_armed = false;
             return;
         }
         // Back off after repeated fruitless exchanges unless the local store
@@ -2916,13 +2693,9 @@ impl<T: Transport> Runtime<T> {
         // much lower rate, which provides the background anti-entropy that
         // keeps replicas converged during the operational phase (and shows
         // up as the residual maintenance bandwidth of Figure 8).
-        let backing_off = {
-            let fruitless = index_fruitless(&self.nodes, &self.secondary, index, peer);
-            let state = index_state(&self.nodes, &self.secondary, index, peer);
-            fruitless >= 4 && !self.engine.locally_overloaded(state)
-        };
+        let backing_off = at.fruitless >= 4 && !self.engine.locally_overloaded(&at.state);
         if let Some(target) = self.random_contact(peer) {
-            let state = index_state(&self.nodes, &self.secondary, index, peer);
+            let state = self.peer_state(index, peer);
             let entries: Vec<DataEntry> = state
                 .store
                 .restricted(&state.path)
@@ -2969,10 +2742,11 @@ impl<T: Transport> Runtime<T> {
             // Refer the initiator to a peer for its own side, and learn a
             // reference ourselves.
             let level = responder_path.common_prefix_len(&initiator_path);
-            index_state_mut(&mut self.nodes, &mut self.secondary, index, responder)
+            index_peer_mut(&mut self.indexes, index, responder)
+                .state
                 .learn_reference(initiator, initiator_path, &mut self.rng);
             let referred = {
-                let state = index_state(&self.nodes, &self.secondary, index, responder);
+                let state = self.peer_state(index, responder);
                 state
                     .routing
                     .level(level)
@@ -3002,7 +2776,8 @@ impl<T: Transport> Runtime<T> {
         // Zero-copy view of the responder's partition entries; everything
         // derived from it is computed before the responder's state is
         // mutated.
-        let responder_store = index_state(&self.nodes, &self.secondary, index, responder)
+        let responder_store = index_peer(&self.indexes, index, responder)
+            .state
             .store
             .restricted(&partition);
         let assessment = self
@@ -3021,8 +2796,7 @@ impl<T: Transport> Runtime<T> {
                     // arrived with the request).
                     let to_initiator = responder_store.missing_in(&initiator_store);
                     let to_responder = initiator_store.missing_in(&responder_store);
-                    let state =
-                        index_state_mut(&mut self.nodes, &mut self.secondary, index, responder);
+                    let state = &mut index_peer_mut(&mut self.indexes, index, responder).state;
                     if !state.replicas.contains(&initiator) {
                         state.replicas.push(initiator);
                     }
@@ -3039,20 +2813,19 @@ impl<T: Transport> Runtime<T> {
                     // The responder extends its own path with the
                     // complementary bit and hands over the initiator's side.
                     let responder_bit = !initiator_bit;
-                    let handover =
-                        index_state_mut(&mut self.nodes, &mut self.secondary, index, responder)
-                            .split_towards(
-                                responder_bit,
-                                RoutingEntry {
-                                    peer: initiator,
-                                    path: partition.child(initiator_bit),
-                                },
-                                &mut self.rng,
-                            );
+                    let handover = index_peer_mut(&mut self.indexes, index, responder)
+                        .state
+                        .split_towards(
+                            responder_bit,
+                            RoutingEntry {
+                                peer: initiator,
+                                path: partition.child(initiator_bit),
+                            },
+                            &mut self.rng,
+                        );
                     // Keep the initiator's entries that belong to our new
                     // side.
-                    let state =
-                        index_state_mut(&mut self.nodes, &mut self.secondary, index, responder);
+                    let state = &mut index_peer_mut(&mut self.indexes, index, responder).state;
                     let own_path = state.path;
                     state.store.merge_from(
                         initiator_entries
@@ -3091,7 +2864,8 @@ impl<T: Transport> Runtime<T> {
             // reference to the complementary subtree, which the responder has
             // in its routing table for this level.
             let complement = if initiator_bit == responder_bit {
-                let refs = index_state(&self.nodes, &self.secondary, index, responder)
+                let refs = index_peer(&self.indexes, index, responder)
+                    .state
                     .routing
                     .level(partition.len());
                 match refs.choose(&mut self.rng) {
@@ -3131,16 +2905,16 @@ impl<T: Transport> Runtime<T> {
                 balanced: false,
                 ..
             } if bit != ahead_bit => {
-                let shipped =
-                    index_state_mut(&mut self.nodes, &mut self.secondary, index, responder)
-                        .split_towards(
-                            bit,
-                            RoutingEntry {
-                                peer: initiator,
-                                path: initiator_path,
-                            },
-                            &mut self.rng,
-                        );
+                let shipped = index_peer_mut(&mut self.indexes, index, responder)
+                    .state
+                    .split_towards(
+                        bit,
+                        RoutingEntry {
+                            peer: initiator,
+                            path: initiator_path,
+                        },
+                        &mut self.rng,
+                    );
                 // The shipped entries belong to the initiator's half of the
                 // partition; hand them over with the reply.
                 ExchangeOutcome::Replicate { entries: shipped }
@@ -3159,32 +2933,29 @@ impl<T: Transport> Runtime<T> {
         outcome: ExchangeOutcome,
     ) {
         // Always learn a routing reference from the encounter if possible.
-        index_state_mut(&mut self.nodes, &mut self.secondary, index, initiator).learn_reference(
-            responder,
-            responder_path,
-            &mut self.rng,
-        );
+        index_peer_mut(&mut self.indexes, index, initiator)
+            .state
+            .learn_reference(responder, responder_path, &mut self.rng);
         match outcome {
             ExchangeOutcome::Nothing => {
-                *index_fruitless_mut(&mut self.nodes, &mut self.secondary, index, initiator) += 1;
+                index_peer_mut(&mut self.indexes, index, initiator).fruitless += 1;
             }
             ExchangeOutcome::Refer { peer, path } => {
-                index_state_mut(&mut self.nodes, &mut self.secondary, index, initiator)
+                index_peer_mut(&mut self.indexes, index, initiator)
+                    .state
                     .learn_reference(peer, path, &mut self.rng);
-                *index_fruitless_mut(&mut self.nodes, &mut self.secondary, index, initiator) += 1;
+                index_peer_mut(&mut self.indexes, index, initiator).fruitless += 1;
             }
             ExchangeOutcome::Replicate { entries } => {
                 let added = {
-                    let state =
-                        index_state_mut(&mut self.nodes, &mut self.secondary, index, initiator);
+                    let state = &mut index_peer_mut(&mut self.indexes, index, initiator).state;
                     let added = state.store.merge_from(entries);
                     if !state.replicas.contains(&responder) {
                         state.replicas.push(responder);
                     }
                     added
                 };
-                let fruitless =
-                    index_fruitless_mut(&mut self.nodes, &mut self.secondary, index, initiator);
+                let fruitless = &mut index_peer_mut(&mut self.indexes, index, initiator).fruitless;
                 if added == 0 {
                     *fruitless += 1;
                 } else {
@@ -3217,10 +2988,11 @@ impl<T: Transport> Runtime<T> {
                             },
                         },
                     };
-                    let shipped =
-                        index_state_mut(&mut self.nodes, &mut self.secondary, index, initiator)
-                            .split_towards(initiator_bit, reference, &mut self.rng);
-                    index_state_mut(&mut self.nodes, &mut self.secondary, index, initiator)
+                    let shipped = index_peer_mut(&mut self.indexes, index, initiator)
+                        .state
+                        .split_towards(initiator_bit, reference, &mut self.rng);
+                    index_peer_mut(&mut self.indexes, index, initiator)
+                        .state
                         .store
                         .merge_from(entries);
                     // Hand the entries of the other side back to the
@@ -3232,11 +3004,9 @@ impl<T: Transport> Runtime<T> {
                             Message::Replicate { entries: shipped },
                         );
                     }
-                    *index_fruitless_mut(&mut self.nodes, &mut self.secondary, index, initiator) =
-                        0;
+                    index_peer_mut(&mut self.indexes, index, initiator).fruitless = 0;
                 } else {
-                    *index_fruitless_mut(&mut self.nodes, &mut self.secondary, index, initiator) +=
-                        1;
+                    index_peer_mut(&mut self.indexes, index, initiator).fruitless += 1;
                 }
             }
         }
@@ -3275,7 +3045,7 @@ impl<T: Transport> Runtime<T> {
                     let replicas: Vec<PeerId> = self.peer_state(index, at).replicas.clone();
                     let next = replicas.iter().copied().find(|p| {
                         p.0 as usize != at
-                            && self.nodes[p.0 as usize].state.online
+                            && self.nodes[p.0 as usize].online
                             && self.link_ok(p.0 as usize)
                     });
                     if let Some(peer) = next {
@@ -3316,57 +3086,6 @@ impl<T: Transport> Runtime<T> {
                 );
             }
             Some(level) => {
-                // Hot path: with the route cache on, a repeated prefix
-                // resolution at this peer/level skips the reference
-                // shuffle entirely (an offline cached target falls back to
-                // the full resolution below and is evicted).
-                if self.config.route_cache {
-                    if let Some(&peer) = self.route_cache.get(&(at, index, level)) {
-                        if self.nodes[peer.0 as usize].state.online && self.link_ok(peer.0 as usize)
-                        {
-                            if hops as usize > pgrid_core::search::MAX_HOPS {
-                                self.tracer.record(
-                                    trace,
-                                    "query_dead_end",
-                                    at as u64,
-                                    self.now,
-                                    || format!("id={id} hops={hops} reason=hop_budget"),
-                                );
-                                self.send_on(
-                                    index,
-                                    origin.0 as usize,
-                                    Message::QueryResponse {
-                                        id,
-                                        entries: Vec::new(),
-                                        hops,
-                                        found: false,
-                                    },
-                                );
-                                return;
-                            }
-                            self.tracer
-                                .record(trace, "query_hop", at as u64, self.now, || {
-                                    format!(
-                                        "id={id} level={level} to={} hop={} cached=true",
-                                        peer.0,
-                                        hops + 1
-                                    )
-                                });
-                            self.send_on(
-                                index,
-                                peer.0 as usize,
-                                Message::Query {
-                                    origin,
-                                    id,
-                                    key,
-                                    hops: hops + 1,
-                                },
-                            );
-                            return;
-                        }
-                        self.route_cache.remove(&(at, index, level));
-                    }
-                }
                 // Forward to an online reference at the mismatch level;
                 // offline targets are detected (failed connection) and an
                 // alternative is tried, as a socket implementation would.
@@ -3380,7 +3099,7 @@ impl<T: Transport> Runtime<T> {
                 refs.shuffle(&mut self.rng);
                 let next = refs
                     .into_iter()
-                    .find(|p| self.nodes[p.0 as usize].state.online && self.link_ok(p.0 as usize));
+                    .find(|p| self.nodes[p.0 as usize].online && self.link_ok(p.0 as usize));
                 match next {
                     Some(peer) => {
                         if hops as usize > pgrid_core::search::MAX_HOPS {
@@ -3403,16 +3122,9 @@ impl<T: Transport> Runtime<T> {
                             );
                             return;
                         }
-                        if self.config.route_cache {
-                            self.route_cache.insert((at, index, level), peer);
-                        }
                         self.tracer
                             .record(trace, "query_hop", at as u64, self.now, || {
-                                format!(
-                                    "id={id} level={level} to={} hop={} cached=false",
-                                    peer.0,
-                                    hops + 1
-                                )
+                                format!("id={id} level={level} to={} hop={}", peer.0, hops + 1)
                             });
                         self.send_on(
                             index,
@@ -3511,35 +3223,6 @@ impl<T: Transport> Runtime<T> {
                     // and reports the range incomplete.
                     return;
                 }
-                if self.config.route_cache {
-                    if let Some(&peer) = self.route_cache.get(&(at, index, level)) {
-                        if self.nodes[peer.0 as usize].state.online && self.link_ok(peer.0 as usize)
-                        {
-                            self.tracer
-                                .record(trace, "range_hop", at as u64, self.now, || {
-                                    format!(
-                                        "id={id} level={level} to={} hop={} cached=true",
-                                        peer.0,
-                                        hops + 1
-                                    )
-                                });
-                            self.send_on(
-                                index,
-                                peer.0 as usize,
-                                Message::RangeQuery {
-                                    origin,
-                                    id,
-                                    lo,
-                                    hi,
-                                    cursor,
-                                    hops: hops + 1,
-                                },
-                            );
-                            return;
-                        }
-                        self.route_cache.remove(&(at, index, level));
-                    }
-                }
                 let mut refs: Vec<PeerId> = self
                     .peer_state(index, at)
                     .routing
@@ -3550,18 +3233,11 @@ impl<T: Transport> Runtime<T> {
                 refs.shuffle(&mut self.rng);
                 let next = refs
                     .into_iter()
-                    .find(|p| self.nodes[p.0 as usize].state.online && self.link_ok(p.0 as usize));
+                    .find(|p| self.nodes[p.0 as usize].online && self.link_ok(p.0 as usize));
                 if let Some(peer) = next {
-                    if self.config.route_cache {
-                        self.route_cache.insert((at, index, level), peer);
-                    }
                     self.tracer
                         .record(trace, "range_hop", at as u64, self.now, || {
-                            format!(
-                                "id={id} level={level} to={} hop={} cached=false",
-                                peer.0,
-                                hops + 1
-                            )
+                            format!("id={id} level={level} to={} hop={}", peer.0, hops + 1)
                         });
                     self.send_on(
                         index,
@@ -3613,16 +3289,6 @@ impl<T: Transport> Runtime<T> {
         }
     }
 
-    /// Drops every memoised routing resolution of `peer` on `index`
-    /// (no-op while the cache is disabled and therefore empty).
-    fn invalidate_route_cache(&mut self, peer: usize, index: IndexId) {
-        if self.route_cache.is_empty() {
-            return;
-        }
-        self.route_cache
-            .retain(|&(p, idx, _), _| p != peer || idx != index);
-    }
-
     // ----- helpers ---------------------------------------------------------------
 
     /// Approximates a uniform random peer sample by a short random walk over
@@ -3652,6 +3318,11 @@ impl<T: Transport> Runtime<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `peer`'s primary-index state.
+    fn primary(rt: &Runtime, peer: usize) -> &PeerState {
+        rt.peer_state(IndexId::PRIMARY, peer)
+    }
 
     fn small_runtime() -> Runtime {
         Runtime::new(NetConfig {
@@ -3683,11 +3354,11 @@ mod tests {
         rt.run_until(10_000);
         rt.start_construction();
         rt.run_until(400_000);
-        let max_depth = rt.nodes.iter().map(|n| n.state.path.len()).max().unwrap();
+        let max_depth = (0..48).map(|p| primary(&rt, p).path.len()).max().unwrap();
         assert!(max_depth >= 2, "max depth {max_depth}");
         // routing tables stay consistent with paths
-        for node in &rt.nodes {
-            assert!(node.state.invariants_hold());
+        for p in 0..48 {
+            assert!(primary(&rt, p).invariants_hold());
         }
         assert!(rt.metrics.messages_delivered > 100);
     }
@@ -3703,7 +3374,11 @@ mod tests {
         rt.start_construction();
         rt.run_until(400_000);
         // query for existing keys
-        let keys: Vec<_> = rt.original_entries.iter().map(|e| e.key).collect();
+        let keys: Vec<_> = rt
+            .original_entries_of(IndexId::PRIMARY)
+            .iter()
+            .map(|e| e.key)
+            .collect();
         for i in 0..100 {
             rt.issue_query(keys[i * 3 % keys.len()]);
             rt.run_until(rt.now() + 2_000);
@@ -3746,7 +3421,11 @@ mod tests {
         rt.run_until(10_000);
         rt.start_construction();
         rt.run_until(200_000);
-        let keys: Vec<_> = rt.original_entries.iter().map(|e| e.key).collect();
+        let keys: Vec<_> = rt
+            .original_entries_of(IndexId::PRIMARY)
+            .iter()
+            .map(|e| e.key)
+            .collect();
         for i in 0..40 {
             rt.issue_query(keys[i % keys.len()]);
             rt.run_until(rt.now() + 2_000);
@@ -3768,7 +3447,11 @@ mod tests {
         quiet.run_until(10_000);
         quiet.start_construction();
         quiet.run_until(200_000);
-        let keys: Vec<_> = quiet.original_entries.iter().map(|e| e.key).collect();
+        let keys: Vec<_> = quiet
+            .original_entries_of(IndexId::PRIMARY)
+            .iter()
+            .map(|e| e.key)
+            .collect();
         quiet.issue_query(keys[0]);
         quiet.run_until(quiet.now() + 30_000);
         assert_eq!(quiet.metrics.stats(IndexId::PRIMARY).issued, 1);
@@ -3795,7 +3478,7 @@ mod tests {
         rt.run_until(5_000);
         rt.start_construction();
         rt.run_until(100_000);
-        let key = rt.original_entries[0].key;
+        let key = rt.original_entries_of(IndexId::PRIMARY)[0].key;
         rt.issue_query(key);
         rt.run_until(rt.now() + 10_000);
         let stats = rt.metrics.stats(IndexId::PRIMARY);
@@ -3864,7 +3547,7 @@ mod tests {
     /// answers each slice.
     fn certainly_stored_keys(rt: &Runtime, lo: Key, hi: Key) -> Vec<Key> {
         let mut keys: Vec<Key> = rt
-            .original_entries
+            .original_entries_of(IndexId::PRIMARY)
             .iter()
             .map(|e| e.key)
             .filter(|k| *k >= lo && *k <= hi)
@@ -3872,12 +3555,12 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         keys.retain(|&key| {
-            let holders: Vec<_> = rt
-                .nodes
-                .iter()
-                .filter(|n| n.joined && n.state.online && n.state.path.covers(key))
+            let holders: Vec<_> = (0..rt.config.n_peers)
+                .filter(|&p| rt.nodes[p].joined && rt.nodes[p].online)
+                .map(|p| primary(rt, p))
+                .filter(|state| state.path.covers(key))
                 .collect();
-            !holders.is_empty() && holders.iter().all(|n| n.state.store.contains_key(key))
+            !holders.is_empty() && holders.iter().all(|state| state.store.contains_key(key))
         });
         keys
     }
@@ -3926,7 +3609,7 @@ mod tests {
                     .expect("range resolved");
                 prop_assert!(sample.complete, "seed {seed} range incomplete");
                 let mut corpus: Vec<Key> =
-                    rt.original_entries.iter().map(|e| e.key).collect();
+                    rt.original_entries_of(IndexId::PRIMARY).iter().map(|e| e.key).collect();
                 corpus.sort_unstable();
                 corpus.dedup();
                 let got: Vec<Key> = sample.entries.iter().map(|e| e.key).collect();
@@ -3952,7 +3635,11 @@ mod tests {
         rt.run_until(10_000);
         rt.start_construction();
         rt.run_until(400_000);
-        let mut corpus: Vec<Key> = rt.original_entries.iter().map(|e| e.key).collect();
+        let mut corpus: Vec<Key> = rt
+            .original_entries_of(IndexId::PRIMARY)
+            .iter()
+            .map(|e| e.key)
+            .collect();
         corpus.sort_unstable();
         corpus.dedup();
         for (frac_lo, frac_hi) in [(0.1, 0.3), (0.4, 0.45), (0.0, 0.9), (0.7, 0.71)] {
@@ -4001,40 +3688,59 @@ mod tests {
     }
 
     #[test]
-    fn route_cache_returns_the_same_results() {
-        let run = |route_cache: bool| {
-            let mut rt = Runtime::new(NetConfig {
-                n_peers: 48,
-                seed: 3,
-                route_cache,
-                ..NetConfig::default()
-            });
-            for i in 0..48 {
-                rt.join_peer(i, 4);
-            }
-            rt.replication_phase();
-            rt.run_until(10_000);
-            rt.start_construction();
-            rt.run_until(400_000);
-            let keys: Vec<_> = rt.original_entries.iter().map(|e| e.key).collect();
-            for i in 0..100 {
-                rt.issue_query(keys[i * 3 % keys.len()]);
-                rt.run_until(rt.now() + 2_000);
-            }
-            rt.run_until(rt.now() + 30_000);
-            rt.metrics.stats(IndexId::PRIMARY)
-        };
-        let cold = run(false);
-        let warm = run(true);
-        assert_eq!(cold.issued, warm.issued);
-        // The cache changes routing trajectories (no per-hop shuffle), not
-        // outcomes: success counts must stay in the same band.
+    fn registered_index_liveness_follows_the_peer() {
+        let mut rt = small_runtime();
+        let index = IndexId(1);
+        rt.register_index(index, &Distribution::Uniform);
+        assert!(!rt.peer_state(index, 0).online, "peers start offline");
+        for i in 0..48 {
+            rt.join_peer(i, 4);
+        }
         assert!(
-            warm.succeeded >= cold.succeeded.saturating_sub(5),
-            "cache degraded success rate: {} vs {}",
-            warm.succeeded,
-            cold.succeeded
+            rt.peer_state(index, 0).online,
+            "joining brings a peer online"
         );
+        rt.schedule_churn(0, 1_000, 5_000);
+        rt.run_until(2_000);
+        assert!(!rt.peer_state(index, 0).online, "churn takes it offline");
+        assert!(!rt.peer_state(IndexId::PRIMARY, 0).online);
+        rt.run_until(10_000);
+        assert!(rt.peer_state(index, 0).online, "and back online");
+        // An index registered later starts from the current liveness.
+        rt.schedule_churn(1, 11_000, 100_000);
+        rt.run_until(12_000);
+        rt.register_index(IndexId(2), &Distribution::Uniform);
+        assert!(!rt.peer_state(IndexId(2), 1).online);
+        assert!(rt.peer_state(IndexId(2), 0).online);
+    }
+
+    #[test]
+    fn restoring_a_registered_index_arms_its_own_tick_chain() {
+        let mut rt = small_runtime();
+        let index = IndexId(1);
+        rt.register_index(index, &Distribution::Uniform);
+        rt.restore_peer(
+            index,
+            5,
+            Path::ROOT,
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            true,
+        );
+        assert!(index_peer(&rt.indexes, index, 5).tick_armed);
+        assert!(index_peer(&rt.indexes, index, 5).constructing);
+        assert!(!index_peer(&rt.indexes, IndexId::PRIMARY, 5).tick_armed);
+        assert!(!index_peer(&rt.indexes, IndexId::PRIMARY, 5).constructing);
+        let ticks: Vec<IndexId> = rt
+            .queue
+            .iter()
+            .filter_map(|Reverse(event)| match event.kind {
+                EventKind::ConstructTick { index, peer: 5 } => Some(index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ticks, vec![index]);
     }
 
     #[test]
@@ -4123,10 +3829,9 @@ mod tests {
 
         // Snapshot the live source peer 23 will be rebuilt from.
         let source = 0;
-        let want_path = rt.nodes[source].state.path;
-        let want_entries: Vec<DataEntry> = rt.nodes[source].state.store.iter().copied().collect();
-        let mut want_routing: Vec<(usize, PeerId)> = rt.nodes[source]
-            .state
+        let want_path = primary(&rt, source).path;
+        let want_entries: Vec<DataEntry> = primary(&rt, source).store.iter().copied().collect();
+        let mut want_routing: Vec<(usize, PeerId)> = primary(&rt, source)
             .routing
             .entries()
             .map(|(level, e)| (level, e.peer))
@@ -4136,7 +3841,7 @@ mod tests {
 
         rt.adopt_peer(23);
         assert_eq!(rt.adopted_peers(), vec![23]);
-        assert!(!rt.nodes[23].state.online, "adopted peer starts offline");
+        assert!(!primary(&rt, 23).online, "adopted peer starts offline");
         rt.begin_replica_pull(23, source);
         assert_eq!(rt.pending_recoveries(), 1);
         let deadline = rt.now() + 30_000;
@@ -4149,7 +3854,7 @@ mod tests {
 
         // Exact rebuild: path, every key, and the routing topology match
         // the replica snapshot bit-for-bit.
-        let got = &rt.nodes[23].state;
+        let got = primary(&rt, 23);
         assert!(got.online);
         assert_eq!(got.path, want_path);
         let got_entries: Vec<DataEntry> = got.store.iter().copied().collect();
@@ -4167,7 +3872,7 @@ mod tests {
         );
         assert!(!got.replicas.contains(&PeerId(23)));
         assert!(
-            rt.nodes[source].state.replicas.contains(&PeerId(23)),
+            primary(&rt, source).replicas.contains(&PeerId(23)),
             "source must adopt the recovered peer as a replica"
         );
         assert_eq!(rt.metrics.peers_adopted, 1);
@@ -4185,14 +3890,14 @@ mod tests {
 
         // No live replica reachable: fall back to the seeded regeneration
         // every process holds (same seed => same original entries).
-        let want: Vec<DataEntry> = rt.nodes[15].state.store.iter().copied().collect();
+        let want: Vec<DataEntry> = primary(&rt, 15).store.iter().copied().collect();
         assert!(!want.is_empty());
         rt.adopt_peer(15);
-        let path = rt.nodes[15].state.path;
+        let path = primary(&rt, 15).path;
         rt.recover_locally(15, path);
         assert_eq!(rt.pending_recoveries(), 0);
-        assert!(rt.nodes[15].state.online);
-        let got: Vec<DataEntry> = rt.nodes[15].state.store.iter().copied().collect();
+        assert!(primary(&rt, 15).online);
+        let got: Vec<DataEntry> = primary(&rt, 15).store.iter().copied().collect();
         assert_eq!(got, want);
         assert_eq!(rt.metrics.peers_recovered_local, 1);
     }
@@ -4213,7 +3918,7 @@ mod tests {
         rt.start_construction();
         rt.run_until(400_000);
         for a in 0..16 {
-            let state = &rt.nodes[a].state;
+            let state = primary(&rt, a);
             if state.store.len() >= 2 && !state.path.is_empty() {
                 if let Some(r) = state.replicas.first() {
                     let r = r.0 as usize;
@@ -4227,23 +3932,22 @@ mod tests {
     #[test]
     fn warm_restore_then_reconcile_merges_missing_entries() {
         let (mut rt, a, r) = converged_with_replica(9);
-        let path = rt.nodes[a].state.path;
-        let full: Vec<DataEntry> = rt.nodes[a].state.store.iter().copied().collect();
+        let path = primary(&rt, a).path;
+        let full: Vec<DataEntry> = primary(&rt, a).store.iter().copied().collect();
         let replica_set: std::collections::BTreeSet<DataEntry> =
-            rt.nodes[r].state.store.iter().copied().collect();
+            primary(&rt, r).store.iter().copied().collect();
         // Drop an entry the replica also holds: a stale journal image.
         let dropped = *full
             .iter()
             .find(|e| replica_set.contains(e))
             .expect("replica shares at least one entry");
         let stale: Vec<DataEntry> = full.iter().copied().filter(|e| *e != dropped).collect();
-        let routing: Vec<(u8, PeerId, Path)> = rt.nodes[a]
-            .state
+        let routing: Vec<(u8, PeerId, Path)> = primary(&rt, a)
             .routing
             .entries()
             .map(|(level, e)| (level as u8, e.peer, e.path))
             .collect();
-        let replicas = rt.nodes[a].state.replicas.clone();
+        let replicas = primary(&rt, a).replicas.clone();
 
         rt.restore_peer(
             IndexId::PRIMARY,
@@ -4255,8 +3959,8 @@ mod tests {
             false,
         );
         assert_eq!(rt.metrics.peers_recovered_warm, 1);
-        assert_eq!(rt.nodes[a].state.store.len(), full.len() - 1);
-        assert!(rt.nodes[a].state.online);
+        assert_eq!(primary(&rt, a).store.len(), full.len() - 1);
+        assert!(primary(&rt, a).online);
 
         rt.begin_replica_diff(a, r);
         assert_eq!(rt.pending_reconciliations(), 1);
@@ -4272,8 +3976,8 @@ mod tests {
         // Same partition: the replica's answer is merged, not adopted —
         // the dropped entry is back and nothing replayed was lost.
         let got: std::collections::BTreeSet<DataEntry> =
-            rt.nodes[a].state.store.iter().copied().collect();
-        assert_eq!(rt.nodes[a].state.path, path);
+            primary(&rt, a).store.iter().copied().collect();
+        assert_eq!(primary(&rt, a).path, path);
         assert!(got.contains(&dropped), "reconciliation restores the gap");
         for e in &stale {
             assert!(got.contains(e), "merge must not lose replayed entries");
@@ -4283,9 +3987,9 @@ mod tests {
     #[test]
     fn reconcile_adopts_diverged_partition_path() {
         let (mut rt, a, r) = converged_with_replica(13);
-        let path = rt.nodes[a].state.path;
-        let full: Vec<DataEntry> = rt.nodes[a].state.store.iter().copied().collect();
-        let replicas = rt.nodes[a].state.replicas.clone();
+        let path = primary(&rt, a).path;
+        let full: Vec<DataEntry> = primary(&rt, a).store.iter().copied().collect();
+        let replicas = primary(&rt, a).replicas.clone();
         // Journal image from before the partition's last split: one bit
         // shorter than the live replicas' path.
         let mut parent = Path::ROOT;
@@ -4301,7 +4005,7 @@ mod tests {
             replicas,
             false,
         );
-        assert_eq!(rt.nodes[a].state.path, parent);
+        assert_eq!(primary(&rt, a).path, parent);
 
         rt.begin_replica_diff(a, r);
         let deadline = rt.now() + 30_000;
@@ -4313,10 +4017,10 @@ mod tests {
         assert_eq!(rt.metrics.peers_reconciled, 1);
         // Diverged path: the replica's identity wins; replayed entries it
         // still covers are kept.
-        let live_path = rt.nodes[a].state.path;
-        assert_eq!(live_path, rt.nodes[r].state.path);
+        let live_path = primary(&rt, a).path;
+        assert_eq!(live_path, primary(&rt, r).path);
         let got: std::collections::BTreeSet<DataEntry> =
-            rt.nodes[a].state.store.iter().copied().collect();
+            primary(&rt, a).store.iter().copied().collect();
         for e in full.iter().filter(|e| live_path.covers(e.key)) {
             assert!(got.contains(e), "covered replayed entries survive adoption");
         }

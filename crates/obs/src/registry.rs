@@ -3,11 +3,10 @@
 //! compact wire codec for streaming snapshots across the cluster control
 //! plane.
 //!
-//! The registry replaces the four hand-rolled `metrics_text` renderers
-//! that grew independently in `pgrid-transport`, `pgrid-net` and
-//! `pgrid-cluster`.  Producers populate a registry from their own state
-//! (snapshot style — cheap, no atomics on the hot paths) and call
-//! [`MetricsRegistry::encode`]; consumers that aggregate several
+//! The registry is the one metrics path of the workspace: producers
+//! populate it from their own state (snapshot style — cheap, no atomics
+//! on the hot paths, e.g. `NetMetrics::to_registry`,
+//! `TransportStats::to_registry`) and call [`MetricsRegistry::encode`]; consumers that aggregate several
 //! processes call [`MetricsRegistry::absorb`] with an extra
 //! distinguishing label (e.g. `worker="1"`).
 //!
@@ -253,9 +252,19 @@ impl MetricsRegistry {
     /// `worker="<shard>"`, so merged series stay distinguishable and no
     /// cross-process summing semantics are needed.  Series that collide
     /// exactly (same name, same final label set) are summed for counters
-    /// and histograms and overwritten for gauges.
+    /// and histograms and overwritten for gauges.  A family whose kind
+    /// conflicts with one already registered under its name (two workers
+    /// disagreeing on a metric) is skipped: the first kind wins, and the
+    /// rest of the merge goes ahead.
     pub fn absorb(&mut self, other: &MetricsRegistry, extra: Option<(&str, &str)>) {
         for (name, family) in &other.families {
+            if self
+                .families
+                .get(name)
+                .is_some_and(|mine| mine.kind != family.kind)
+            {
+                continue;
+            }
             let mine = self.family(name, &family.help, family.kind);
             for (labels, value) in &family.series {
                 let mut key = labels.clone();
@@ -512,6 +521,28 @@ mod tests {
         sum.absorb(&worker, None);
         sum.absorb(&worker, None);
         assert!(sum.encode().contains("pgrid_frames_total 20"));
+    }
+
+    #[test]
+    fn absorb_skips_a_family_whose_kind_conflicts() {
+        let mut first = MetricsRegistry::new();
+        first.counter("pgrid_x", "x", &[], 3);
+        first.counter("pgrid_frames_total", "frames", &[], 1);
+        let mut second = MetricsRegistry::new();
+        second.gauge("pgrid_x", "x", &[], 7.5);
+        second.counter("pgrid_frames_total", "frames", &[], 2);
+
+        let mut merged = MetricsRegistry::new();
+        merged.absorb(&first, Some(("worker", "0")));
+        merged.absorb(&second, Some(("worker", "1")));
+        let text = merged.encode();
+        // The first kind wins; the conflicting family is dropped whole.
+        assert!(text.contains("# TYPE pgrid_x counter"));
+        assert!(text.contains("pgrid_x{worker=\"0\"} 3"));
+        assert!(!text.contains("worker=\"1\"} 7.5"));
+        // Every other family of the conflicting snapshot still merges.
+        assert!(text.contains("pgrid_frames_total{worker=\"1\"} 2"));
+        assert_eq!(merged.series_count(), 3);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! | [`net`] | `pgrid-net` | message-level deployment runtime (generic over the transport, multi-index capable) and the PlanetLab-style experiment |
 //! | [`scenario`] | `pgrid-scenario` | the composable experiment API: `Overlay` trait, declarative `Scenario` programs, one executor for every engine |
 //! | [`cluster`] | `pgrid-cluster` | multi-process deployment: rendezvous coordinator, sharded peer-hosting workers, merged reports |
+//! | [`obs`] | `pgrid-obs` | metrics registry with its Prometheus encoder, tracing, flight recorder, `/metrics` scrape |
 //!
 //! See the repository-level `examples/` directory for runnable end-to-end
 //! scenarios (`cargo run -p pgrid --example quickstart`).
@@ -30,6 +31,7 @@
 pub use pgrid_cluster as cluster;
 pub use pgrid_core as core;
 pub use pgrid_net as net;
+pub use pgrid_obs as obs;
 pub use pgrid_partition as partition;
 pub use pgrid_reactor as reactor;
 pub use pgrid_scenario as scenario;

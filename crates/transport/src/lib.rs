@@ -309,16 +309,6 @@ impl TransportStats {
         }
     }
 
-    /// Renders the counters in the Prometheus text exposition format
-    /// through the shared [`pgrid_obs::registry::MetricsRegistry`]
-    /// encoder, so a run's transport state can be dumped somewhere
-    /// scrapeable.
-    pub fn metrics_text(&self) -> String {
-        let mut registry = pgrid_obs::registry::MetricsRegistry::new();
-        self.to_registry(&mut registry);
-        registry.encode()
-    }
-
     /// Folds another stats snapshot into this one (summing the global
     /// counters and merging the per-peer maps), as the cluster coordinator
     /// does when it combines the reports of several worker processes.
@@ -452,7 +442,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_text_is_prometheus_shaped() {
+    fn registry_exposition_is_prometheus_shaped() {
         let mut stats = TransportStats {
             frames_sent: 10,
             frames_delivered: 9,
@@ -476,7 +466,9 @@ mod tests {
                 send_failures: 0,
             },
         );
-        let text = stats.metrics_text();
+        let mut registry = pgrid_obs::registry::MetricsRegistry::new();
+        stats.to_registry(&mut registry);
+        let text = registry.encode();
         assert!(text.contains("# TYPE pgrid_transport_frames_sent_total counter"));
         assert!(text.contains("pgrid_transport_frames_sent_total 10"));
         assert!(text.contains("pgrid_transport_peer_frames_sent_total{peer=\"3\"} 4"));

@@ -86,7 +86,9 @@ fn main() {
 
     // The Prometheus counters a scrape would see (histogram bucket lines
     // summarised — the full exposition repeats one line per bucket).
-    let text = overlay.metrics.metrics_text();
+    let mut registry = pgrid::obs::registry::MetricsRegistry::new();
+    overlay.metrics.to_registry(&mut registry);
+    let text = registry.encode();
     let buckets = text
         .lines()
         .filter(|l| l.starts_with("pgrid_net_query_latency_ms_bucket"))
